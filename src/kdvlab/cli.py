@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .diffpoly import latex_poly
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, _resolve, run_experiment
 from .hierarchy import level, level_to_obj
 from .ibpcalc import alpha_coeffs, verify_identity
 from .manifest import RunManifest
@@ -112,21 +112,6 @@ def parse_flat_config(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: empty key")
         out[key] = [v.strip() for v in val.split(",")] if "," in val else val
     return out
-
-
-def _resolve_solve_config(raw: dict) -> dict:
-    cfg = dict(SOLVE_DEFAULTS)
-    for key, val in raw.items():
-        if key not in cfg:
-            raise KeyError(f"unknown solve config key {key!r}; known: {sorted(cfg)}")
-        ref = cfg[key]
-        if isinstance(ref, str):
-            cfg[key] = str(val)
-        elif isinstance(ref, int):
-            cfg[key] = int(val)
-        else:
-            cfg[key] = float(val)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +205,7 @@ def _make_flow(cfg: dict):
 
 
 def _cmd_solve(args, argv) -> int:
-    cfg = _resolve_solve_config(parse_flat_config(args.config))
+    cfg = _resolve(SOLVE_DEFAULTS, parse_flat_config(args.config))
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 

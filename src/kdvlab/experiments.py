@@ -73,6 +73,8 @@ def _resolve(defaults: dict, config: dict | None) -> dict:
         if isinstance(ref, tuple):
             vals = val if isinstance(val, (tuple, list)) else [val]
             cfg[key] = tuple(type(ref[0])(v) for v in vals)
+        elif isinstance(val, (tuple, list)):
+            raise ValueError(f"config key {key!r} takes one value, got {len(val)}")
         elif isinstance(ref, bool):
             cfg[key] = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
         else:

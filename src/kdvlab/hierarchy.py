@@ -9,6 +9,7 @@ its Hamiltonian comes from the line homotopy.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,8 +66,9 @@ def lenard_step(g: DiffPoly) -> DiffPoly:
     return integrate_exact(rhs_next)
 
 
-# idempotent module cache; concurrent fills recompute the same exact values
+# module cache of levels 0..len-1; every fill holds the lock
 _LEVELS: list[HierarchyLevel] = []
+_LEVELS_LOCK = threading.Lock()
 
 
 def _build_level(l: int, g: DiffPoly) -> HierarchyLevel:
@@ -82,11 +84,12 @@ def generate(l: int) -> tuple[HierarchyLevel, ...]:
     """Levels 0..l inclusive, memoized."""
     if l < 0:
         raise ValueError("level must be nonnegative")
-    if not _LEVELS:
-        _LEVELS.append(_build_level(0, sym("u")))
-    while len(_LEVELS) <= l:
-        _LEVELS.append(_build_level(len(_LEVELS), lenard_step(_LEVELS[-1].g)))
-    return tuple(_LEVELS[: l + 1])
+    with _LEVELS_LOCK:
+        if not _LEVELS:
+            _LEVELS.append(_build_level(0, sym("u")))
+        while len(_LEVELS) <= l:
+            _LEVELS.append(_build_level(len(_LEVELS), lenard_step(_LEVELS[-1].g)))
+        return tuple(_LEVELS[: l + 1])
 
 
 def level(l: int) -> HierarchyLevel:

@@ -40,15 +40,13 @@ import numpy as np
 
 from .diffpoly import DiffMonomial, DiffPoly, split_exact
 from .ibpcalc import alpha_coeffs
-from .spectral import TAU, SpectralField, sobolev_norm
+from .spectral import TAU, SpectralField, _padded_values, _product_grid, sobolev_norm
 from .spoly import SPoly, binom_s
 
 __all__ = [
     "OddOffset",
     "SingularSystem",
     "ThresholdViolation",
-    "SobTerm",
-    "SobTriple",
     "PTerm",
     "pterm",
     "NormGapTerm",
@@ -60,8 +58,6 @@ __all__ = [
     "reduce_triple",
     "quadratic_derivative",
     "correction_derivative",
-    "solve_gammas",
-    "higher_corrections",
     "build_energy",
     "regularity_threshold",
     "evaluate_energy",
@@ -89,12 +85,8 @@ def regularity_threshold(l: int) -> Fraction:
     return Fraction(8 * l - 9, 2)
 
 
-def _spoly(c) -> SPoly:
-    return c if isinstance(c, SPoly) else SPoly.const(c)
-
-
 # ---------------------------------------------------------------------------
-# term types
+# term type
 # ---------------------------------------------------------------------------
 
 
@@ -149,7 +141,7 @@ class PTerm:
 
 def pterm(coeff, a_out: int, inner, off: int, b: int, c: int) -> PTerm:
     """Canonicalizing constructor: sorts inner, folds single factors, b <= c."""
-    cp = _spoly(coeff)
+    cp = coeff if isinstance(coeff, SPoly) else SPoly.const(coeff)
     inn = tuple(sorted(inner))
     if len(inn) == 1:
         a_out += inn[0]
@@ -159,53 +151,6 @@ def pterm(coeff, a_out: int, inner, off: int, b: int, c: int) -> PTerm:
     if a_out < 0 or b < 0 or any(q < 0 for q in inn):
         raise ValueError("negative derivative order in term")
     return PTerm(cp, a_out, inn, off, b, c)
-
-
-@dataclass(frozen=True)
-class SobTerm:
-    """coeff(s) * int d^a u (D^{s+off} d^j u)^2, the single-factor square."""
-
-    coeff: SPoly
-    a: int
-    off: int
-    j: int
-
-    @property
-    def is_resonant(self) -> bool:
-        return self.off == 0 and self.j >= 1
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.off < 0 or (self.off == 0 and self.j == 0)
-
-    def as_pterm(self) -> PTerm:
-        return pterm(self.coeff, self.a, (0,), self.off, self.j, self.j)
-
-    def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return _pterm_value(self.as_pterm(), s, fieldval)
-
-    def to_obj(self) -> dict:
-        return {"coeff": self.coeff.to_obj(), "a": self.a, "off": self.off, "j": self.j}
-
-
-@dataclass(frozen=True)
-class SobTriple:
-    """coeff(s) * int d^a u . D^{s+off} d^b u . D^{s+off} d^c u with b <= c."""
-
-    coeff: SPoly
-    a: int
-    off: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", _spoly(self.coeff))
-        if self.b > self.c:
-            b, c = self.c, self.b
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "c", c)
-        if self.a < 0 or self.b < 0:
-            raise ValueError("negative derivative order in triple")
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +168,10 @@ class NormGapTerm:
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
         k = np.arange(fieldval.modes.size, dtype=float)
         gap = (1.0 + k * k) ** s - k ** (2.0 * s)
-        m = _quad_grid(3, fieldval.band_limit())
-        vals = _mult_values(fieldval, np.ones_like(k), 0, m)
-        vals = vals * _mult_values(fieldval, np.ones_like(k), 2 * self.l - 1, m)
-        vals = vals * _mult_values(fieldval, gap, 0, m)
+        m = _product_grid(3, fieldval.band_limit())
+        u, du = _padded_values(fieldval.modes, (0, 2 * self.l - 1), m)
+        (g,) = _padded_values(fieldval.modes * gap, (0,), m)
+        vals = u * du * g
         return float(self.coeff(float(s))) * TAU * float(vals.mean())
 
     def to_obj(self) -> dict:
@@ -253,25 +198,23 @@ class CommutatorTail:
 
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
         sigma = float(s) + self.off
-        band = fieldval.band_limit()
-        m = _quad_grid(len(self.inner) + 4, band)
-        half = m // 2 + 1
-        k = np.arange(half, dtype=float)
-        dsig = _d_weights(k, sigma)
+        m = _product_grid(len(self.inner) + 4, fieldval.band_limit())
+        dsig = _d_weights(np.arange(m // 2 + 1, dtype=float), sigma)
+        dmodes = _d_modes(fieldval, sigma)
 
-        f = _deriv_values(fieldval, self.rho, m)
-        g = _deriv_values(fieldval, self.m_high, m)
+        f, g = _padded_values(fieldval.modes, (self.rho, self.m_high), m)
         prod_modes = np.fft.rfft(f * g) / m
         tail = np.fft.irfft(dsig * prod_modes * m, n=m)
-        for i in range(self.i_max + 1):
+        terms = range(self.i_max + 1)
+        lows = _padded_values(fieldval.modes, [self.rho + i for i in terms], m)
+        highs = _padded_values(dmodes, [self.m_high - i for i in terms], m)
+        for i, low, high in zip(terms, lows, highs):
             w = float(binom_s(self.off, i)(float(s)))
-            tail = tail - w * _deriv_values(fieldval, self.rho + i, m) * _mult_values(
-                fieldval, _d_weights(_field_k(fieldval), sigma), self.m_high - i, m
-            )
+            tail = tail - w * low * high
 
-        vals = _bundle_values(fieldval, self.a_out, self.inner, m)
+        vals = _bundle_values(fieldval.modes, self.a_out, self.inner, m)
         vals = vals * tail
-        vals = vals * _mult_values(fieldval, _d_weights(_field_k(fieldval), sigma), self.other_b, m)
+        vals = vals * _padded_values(dmodes, (self.other_b,), m)[0]
         return float(self.coeff(float(s))) * TAU * float(vals.mean())
 
     def to_obj(self) -> dict:
@@ -289,17 +232,8 @@ class CommutatorTail:
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation helpers (exact quadrature on padded grids)
+# numeric evaluation helpers (padded-grid quadrature from spectral)
 # ---------------------------------------------------------------------------
-
-
-def _quad_grid(n_factors: int, band: int) -> int:
-    m = n_factors * max(band, 1) + 2
-    return m + (m % 2)
-
-
-def _field_k(fieldval: SpectralField) -> np.ndarray:
-    return np.arange(fieldval.modes.size, dtype=float)
 
 
 def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
@@ -311,33 +245,20 @@ def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
     return w
 
 
-def _pad_modes(modes: np.ndarray, m: int) -> np.ndarray:
-    half = np.zeros(m // 2 + 1, dtype=complex)
-    take = min(modes.size, half.size)
-    half[:take] = modes[:take]
-    return half
+def _d_modes(fieldval: SpectralField, sigma: float) -> np.ndarray:
+    """Modes of D^sigma u."""
+    return fieldval.modes * _d_weights(np.arange(fieldval.modes.size, dtype=float), sigma)
 
 
-def _mult_values(fieldval: SpectralField, weights: np.ndarray, order: int, m: int) -> np.ndarray:
-    """Values of (weights(k) * (ik)^order) applied to the field, on an m-grid."""
-    k = _field_k(fieldval)
-    modes = fieldval.modes * weights * (1j * k) ** order
-    return np.fft.irfft(_pad_modes(modes, m) * m, n=m)
-
-
-def _deriv_values(fieldval: SpectralField, order: int, m: int) -> np.ndarray:
-    return _mult_values(fieldval, np.ones(fieldval.modes.size), order, m)
-
-
-def _bundle_values(fieldval: SpectralField, a_out: int, inner: tuple[int, ...], m: int) -> np.ndarray:
+def _bundle_values(modes: np.ndarray, a_out: int, inner: tuple[int, ...], m: int) -> np.ndarray:
     """Values of d^{a_out}(prod_q d^q u) on an m-grid (1 for an empty bundle)."""
     if not inner:
         if a_out:
             return np.zeros(m)
         return np.ones(m)
     vals = np.ones(m)
-    for q in inner:
-        vals = vals * _deriv_values(fieldval, q, m)
+    for v in _padded_values(modes, inner, m):
+        vals = vals * v
     if a_out:
         km = np.arange(m // 2 + 1, dtype=float)
         vals = np.fft.irfft((1j * km) ** a_out * (np.fft.rfft(vals) / m) * m, n=m)
@@ -345,13 +266,12 @@ def _bundle_values(fieldval: SpectralField, a_out: int, inner: tuple[int, ...], 
 
 
 def _pterm_value(pt: PTerm, s: float, fieldval: SpectralField) -> float:
-    band = fieldval.band_limit()
-    m = _quad_grid(len(pt.inner) + 2, band)
-    k = _field_k(fieldval)
-    w = _d_weights(k, float(s) + pt.off)
-    vals = _bundle_values(fieldval, pt.a_out, pt.inner, m)
-    vals = vals * _mult_values(fieldval, w, pt.b, m)
-    vals = vals * _mult_values(fieldval, w, pt.c, m)
+    m = _product_grid(pt.degree, fieldval.band_limit())
+    # a square transforms its D-factor once and multiplies it by itself
+    orders = (pt.b,) if pt.is_square else (pt.b, pt.c)
+    dvals = _padded_values(_d_modes(fieldval, float(s) + pt.off), orders, m)
+    vals = _bundle_values(fieldval.modes, pt.a_out, pt.inner, m)
+    vals = vals * dvals[0] * dvals[-1]
     return float(pt.coeff(float(s))) * TAU * float(vals.mean())
 
 
@@ -426,22 +346,16 @@ def _reduce_pair(pt: PTerm) -> list[PTerm]:
     return out
 
 
-def reduce_triple(t: SobTriple, l: int) -> list[SobTerm]:
-    """Exact rewrite of int d^a u D^{s+off}d^b u D^{s+off}d^c u as squares.
+def reduce_triple(t: PTerm) -> list[PTerm]:
+    """Exact rewrite of a D-pair term as normalized squares.
 
-    Returns normalized single-factor squares sorted deterministically; the
-    resonant/bounded split is read off each term's flags.  l fixes the ambient
-    flow for context only; the rewrite itself is driven by the gap c - b.
+    Returns the squares merged and sorted deterministically; the
+    resonant/bounded split is read off each term's flags.  The rewrite is
+    driven by the gap c - b.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
     if t.off % 2:
         raise OddOffset(f"odd D-offset {t.off}")
-    if t.coeff.is_zero():
-        return []
-    squares = _merge(_reduce_pair(pterm(t.coeff, t.a, (0,), t.off, t.b, t.c)))
-    out = [SobTerm(q.coeff, q.a_out, q.off, q.b) for q in squares]
-    return sorted(out, key=lambda x: (x.a, x.off, x.j))
+    return _merge(_reduce_pair(t))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +363,7 @@ def reduce_triple(t: SobTriple, l: int) -> list[SobTerm]:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_derivative(l: int) -> tuple[list, list[SobTerm]]:
+def quadratic_derivative(l: int) -> tuple[list, list[PTerm]]:
     """Main terms of d/dt (1/2 |u|_{H^s}^2): (bounded-with-markers, resonant).
 
     The linear flow contributes nothing (odd operator).  The nonlinear part
@@ -464,18 +378,11 @@ def quadratic_derivative(l: int) -> tuple[list, list[SobTerm]]:
         NormGapTerm(_ONE, l),
         CommutatorTail(_ONE, 0, (), 0, 0, 2 * l - 1, 2 * l - 2, 0),
     ]
-    squares: list[SobTerm] = []
+    squares: list[PTerm] = []
     for j in range(0, 2 * l - 1):
-        squares.extend(reduce_triple(SobTriple(binom_s(0, j), j, 0, 0, 2 * l - 1 - j), l))
-    acc: dict[tuple[int, int, int], SPoly] = {}
-    for q in squares:
-        key = (q.a, q.off, q.j)
-        acc[key] = acc.get(key, _ZERO) + q.coeff
-    resonant: list[SobTerm] = []
-    for key in sorted(acc):
-        if acc[key].is_zero():
-            continue
-        term = SobTerm(acc[key], *key)
+        squares.extend(reduce_triple(pterm(binom_s(0, j), j, (0,), 0, 0, 2 * l - 1 - j)))
+    resonant: list[PTerm] = []
+    for term in _merge(squares):
         (resonant if term.is_resonant else bounded).append(term)
     return bounded, resonant
 
@@ -556,8 +463,8 @@ def _expand_nonlinear(corr: PTerm, l: int) -> tuple[list[PTerm], list[PTerm], li
 class CorrectionDerivative:
     """Exact d/dt of one unit-coefficient cubic correction term."""
 
-    resonant: tuple[SobTerm, ...]
-    bounded: tuple[SobTerm, ...]
+    resonant: tuple[PTerm, ...]
+    bounded: tuple[PTerm, ...]
     higher: tuple  # PTerm pairs feeding the next stage, then tail markers
 
 
@@ -576,12 +483,8 @@ def correction_derivative(l: int, j: int) -> CorrectionDerivative:
     corr = _correction_shape((2 * j + 1, (0,), m), l)
     linear = _expand_linear(corr, l)
     pairs, squares, tails = _expand_nonlinear(corr, l)
-    res = tuple(
-        SobTerm(t.coeff, t.a_out, t.off, t.b) for t in linear if t.is_resonant
-    )
-    bnd = tuple(
-        SobTerm(t.coeff, t.a_out, t.off, t.b) for t in linear if not t.is_resonant
-    )
+    res = tuple(t for t in linear if t.is_resonant)
+    bnd = tuple(t for t in linear if not t.is_resonant)
     return CorrectionDerivative(res, bnd, tuple(pairs + squares) + tuple(tails))
 
 
@@ -768,11 +671,8 @@ def build_energy(l: int, max_stage: int | None = None) -> EnergyBlueprint:
     bp = EnergyBlueprint(l=l, max_stage=max_stage)
     qbounded, qresonant = quadratic_derivative(l)
     for item in qbounded:
-        if isinstance(item, SobTerm):
-            bp.bounded_remainder.append(item.as_pterm())
-        else:
-            bp.markers.append(item)
-    squares = [t.as_pterm() for t in qresonant]
+        (bp.bounded_remainder if isinstance(item, PTerm) else bp.markers).append(item)
+    squares = qresonant
 
     for stage in range(3, max_stage + 1):
         resonant, bounded = _bucketize(_merge(squares))
@@ -797,16 +697,6 @@ def build_energy(l: int, max_stage: int | None = None) -> EnergyBlueprint:
             bp.pending.append(PTerm(resonant[key], a_out, inner, 0, m, m))
     bp.bounded_remainder = _merge(bp.bounded_remainder)
     return bp
-
-
-def solve_gammas(l: int) -> EnergyBlueprint:
-    """Cubic-stage blueprint: gammas cancelling the quadratic stage's resonants."""
-    return build_energy(l, 3)
-
-
-def higher_corrections(l: int, order: int) -> EnergyBlueprint:
-    """Blueprint with cancellation stages through the given polynomial order."""
-    return build_energy(l, order)
 
 
 # ---------------------------------------------------------------------------

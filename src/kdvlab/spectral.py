@@ -157,18 +157,6 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     return f.with_modes(f.modes * w)
 
 
-def d_power(f: SpectralField, sigma: float) -> SpectralField:
-    return multiplier(f, "D", sigma)
-
-
-def j_power(f: SpectralField, sigma: float) -> SpectralField:
-    return multiplier(f, "J", sigma)
-
-
-def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    return multiplier(f, "d", order)
-
-
 def sobolev_norm(f: SpectralField, s: float = 0.0) -> float:
     k = f.wavenumbers()
     w = (1.0 + k * k) ** float(s)
@@ -422,8 +410,6 @@ class _Stepper:
     """Precomputed exponential one-step scheme for a fixed flow/grid/dt."""
 
     def __init__(self, flow: FlowSpec, n: int, dt: float, dealias: float, order: int):
-        if order not in (2, 4):
-            raise ValueError("integrator order must be 2 or 4")
         self.flow = flow
         self.n = n
         self.dt = dt
@@ -491,8 +477,14 @@ class SolverConfig:
     store_states: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_final < 0:
-            raise ValueError("need dt > 0 and t_final >= 0")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"need a finite dt > 0, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+            raise ValueError(f"need a finite t_final >= 0, got {self.t_final}")
+        if self.order not in (2, 4):
+            raise ValueError(f"integrator order must be 2 or 4, got {self.order}")
+        if self.diagnostics_every < 1:
+            raise ValueError(f"diagnostics_every must be >= 1, got {self.diagnostics_every}")
         if self.n < 16 or self.n % 2:
             raise ValueError("grid size must be even and >= 16")
         if not (0.0 < self.dealias <= 1.0):

@@ -7,6 +7,8 @@ re-certify on every run, so the golden file is a pure change detector.
 """
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,3 +113,20 @@ def test_serialization_roundtrip():
     assert back.g == lv.g
     assert back.rhs == lv.rhs
     assert back.hamiltonian.canonical == lv.hamiltonian.canonical
+
+
+def test_cold_cache_fill_is_thread_safe(monkeypatch):
+    # four threads filling a cold cache at once must still store level l at index l
+    monkeypatch.setattr(hierarchy, "_LEVELS", [])
+    with open(GOLDEN) as fh:
+        frozen = json.load(fh)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(hierarchy.generate, [8] * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [lv.l for lv in hierarchy._LEVELS] == list(range(9))
+    for levels in results:
+        assert [hierarchy.level_to_obj(lv) for lv in levels] == frozen

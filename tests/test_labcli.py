@@ -171,6 +171,27 @@ def test_solve_zero_ic(tmp_path):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "time.dt = inf",
+        "time.dt = nan",
+        "time.dt = 0",
+        "time.T = inf",
+        "diagnostics.every = 0",
+        "integrator.order = 3",
+        "grid.N = 128, 256",
+    ],
+)
+def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + line + "\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # experiments: pipeline behavior on degenerate inputs (fast settings)
 # ---------------------------------------------------------------------------
@@ -228,6 +249,15 @@ def test_exp_fail_exit_code_and_manifest(tmp_path):
     man = json.loads((out_dir / "conservation_manifest.json").read_text())
     assert man["verdict"] == "FAIL"
     assert man["config"]["drift_tol"] == 0.0
+
+
+def test_exp_list_for_scalar_key_exits_2(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.cfg", "n = 64, 128\n")
+    out_dir = tmp_path / "res"
+    assert main(["exp", "scaling", "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_exp_conservation_csv_shape(tmp_path):

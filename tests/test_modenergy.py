@@ -16,8 +16,7 @@ from kdvlab.modenergy import (
     CommutatorTail,
     NormGapTerm,
     OddOffset,
-    SobTerm,
-    SobTriple,
+    PTerm,
     ThresholdViolation,
     build_energy,
     correction_derivative,
@@ -27,7 +26,6 @@ from kdvlab.modenergy import (
     quadratic_derivative,
     reduce_triple,
     regularity_threshold,
-    solve_gammas,
 )
 from kdvlab.spectral import (
     SpectralField,
@@ -44,7 +42,7 @@ ONE = SPoly.const(1)
 
 
 def _terms(lst):
-    return [(str(t.coeff), t.a, t.off, t.j) for t in lst]
+    return [(str(t.coeff), t.a_out, t.off, t.b) for t in lst]
 
 
 # ---------------------------------------------------------------------------
@@ -55,25 +53,25 @@ def _terms(lst):
 def test_reduce_triple_hand_anchors_l2():
     # int u (D^s d^3 u)(D^s u): moving 3 odd derivatives across the square
     # leaves (3/2) int du (D^s du)^2 - (1/2) int d^3u (D^s u)^2
-    out = reduce_triple(SobTriple(ONE, 0, 0, 0, 3), 2)
+    out = reduce_triple(pterm(ONE, 0, (0,), 0, 0, 3))
     assert _terms(out) == [("3/2", 1, 0, 1), ("-1/2", 3, 0, 0)]
 
     # int du (D^s du)(D^s d^2 u) with weight binom(s,1) = s
-    out = reduce_triple(SobTriple(binom_s(0, 1), 1, 0, 0, 2), 2)
+    out = reduce_triple(pterm(binom_s(0, 1), 1, (0,), 0, 0, 2))
     assert _terms(out) == [("-1*s", 1, 0, 1), ("1/2*s", 3, 0, 0)]
 
     # int d^2u (D^s du)^2-type with weight binom(s,2): gap already even
-    out = reduce_triple(SobTriple(binom_s(0, 2), 2, 0, 0, 1), 2)
+    out = reduce_triple(pterm(binom_s(0, 2), 2, (0,), 0, 0, 1))
     assert _terms(out) == [("1/4*s + -1/4*s^2", 3, 0, 0)]
 
 
 def test_reduce_triple_rejects_odd_offset():
     with pytest.raises(OddOffset):
-        reduce_triple(SobTriple(ONE, 0, 1, 0, 3), 2)
+        reduce_triple(pterm(ONE, 0, (0,), 1, 0, 3))
 
 
 def test_reduce_triple_zero_coeff_short_circuits():
-    assert reduce_triple(SobTriple(SPoly(), 0, 0, 0, 3), 2) == []
+    assert reduce_triple(pterm(SPoly(), 0, (0,), 0, 0, 3)) == []
 
 
 def test_reduce_triple_numeric_identity():
@@ -98,7 +96,7 @@ def test_reduce_triple_numeric_identity():
 
     for a, b, c in [(0, 0, 3), (1, 0, 2), (2, 0, 1)]:
         lhs = tau * float(np.mean(dval(a, 0) * dval(b, s) * dval(c, s)))
-        rhs = sum(t.evaluate(u, s) for t in reduce_triple(SobTriple(ONE, a, 0, b, c), 2))
+        rhs = sum(t.evaluate(u, s) for t in reduce_triple(pterm(ONE, a, (0,), 0, b, c)))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -118,10 +116,10 @@ def test_quadratic_derivative_l2_resonant():
 
 def test_quadratic_derivative_l2_bounded_coefficient():
     bounded, _ = quadratic_derivative(2)
-    sob = [t for t in bounded if isinstance(t, SobTerm)]
+    sob = [t for t in bounded if isinstance(t, PTerm)]
     agg = {}
     for t in sob:
-        key = (t.a, t.off, t.j)
+        key = (t.a_out, t.off, t.b)
         agg[key] = agg.get(key, SPoly()) + t.coeff
     # total coefficient at int d^3u (D^s u)^2 is -1/2 + 3s/4 - s^2/4
     assert agg[(3, 0, 0)] == SPoly([Fraction(-1, 2), Fraction(3, 4), Fraction(-1, 4)])
@@ -139,7 +137,7 @@ def test_resonance_flags():
 
 
 def test_gamma_l2_exact():
-    bp = solve_gammas(2)
+    bp = build_energy(2, 3)
     assert len(bp.corrections) == 1
     corr = bp.corrections[0]
     assert corr.gamma == SPoly([Fraction(-3, 10), Fraction(1, 5)])  # (2s-3)/10
@@ -157,7 +155,7 @@ def test_correction_derivative_l2_linear_parts():
 def test_cancellation_l2_closed_form():
     # gamma solves (3/2 - s) + gamma * (d/ds-free) diagonal 5/(2s-3)...:
     # beta_1 + gamma * 5 must vanish identically in s
-    bp = solve_gammas(2)
+    bp = build_energy(2, 3)
     _, resonant = quadratic_derivative(2)
     beta = resonant[0].coeff
     gamma = bp.corrections[0].gamma
@@ -237,6 +235,45 @@ def test_pterm_quadrature_hand_value():
     u = SpectralField(n, (cosine_field(n, 1) + cosine_field(n, 2)).modes)
     t = pterm(1, 0, (0,), -2, 1, 1)
     assert abs(t.evaluate(u, 4.0) - 15.0 * math.pi / 2.0) < 1e-12
+
+
+def test_shared_quadrature_matches_direct_quadrature():
+    # bundles with an outer derivative over two inner factors, non-squares and
+    # the norm-gap marker against quadrature written out here: the outer
+    # derivative by the Leibniz rule, every factor sampled on the field's grid
+    # (exact: n exceeds the band of every product)
+    n = 128
+    u = random_decay_field(n, decay=1.5, seed=5, amplitude=1.0, kmax=6)
+    s = 4.5
+    tau = 2.0 * np.pi
+    k = np.arange(u.modes.size, dtype=float)
+
+    def dval(order, sigma=0.0, modes=u.modes):
+        w = np.zeros_like(k)
+        w[1:] = k[1:] ** sigma
+        if sigma == 0:
+            w[0] = 1.0
+        return np.fft.irfft(modes * w * (1j * k) ** order * n, n=n)
+
+    def bundle(a_out, q1, q2):
+        return sum(math.comb(a_out, w) * dval(q1 + w) * dval(q2 + a_out - w) for w in range(a_out + 1))
+
+    for coeff, a_out, (q1, q2), off, b, c in [
+        (ONE, 2, (0, 1), -2, 1, 1),
+        (S, 1, (0, 2), 0, 1, 2),
+        (ONE, 3, (1, 1), -4, 0, 3),
+        (ONE, 0, (0, 0), -2, 0, 3),
+    ]:
+        t = pterm(coeff, a_out, (q1, q2), off, b, c)
+        direct = tau * float(np.mean(bundle(a_out, q1, q2) * dval(b, s + off) * dval(c, s + off)))
+        direct *= float(coeff(s))
+        assert abs(t.evaluate(u, s) - direct) < 1e-10 * max(1.0, abs(direct))
+
+    gap = u.modes * ((1.0 + k * k) ** s - k ** (2.0 * s))
+    for l in (2, 3):
+        direct = tau * float(np.mean(dval(0) * dval(2 * l - 1) * dval(0, modes=gap)))
+        value = NormGapTerm(ONE, l).evaluate(u, s)
+        assert abs(value - direct) < 1e-10 * max(1.0, abs(direct))
 
 
 def test_energy_small_amplitude_coercivity():
