@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -32,7 +33,13 @@ from .experiments import EXPERIMENTS, _resolve, run_experiment
 from .hierarchy import level, level_to_obj
 from .ibpcalc import alpha_coeffs, verify_identity
 from .manifest import RunManifest
-from .modenergy import ThresholdViolation, build_energy, evaluate_energy, regularity_threshold
+from .modenergy import (
+    SingularSystem,
+    ThresholdViolation,
+    build_energy,
+    evaluate_energy,
+    regularity_threshold,
+)
 from .spectral import (
     BlowUp,
     SolverConfig,
@@ -146,7 +153,16 @@ def _cmd_hierarchy_gen(args, argv) -> int:
     return 0
 
 
+def _finite(name: str, value) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return v
+
+
 def _cmd_ibp_alpha(args, argv) -> int:
+    if args.l < 1:
+        raise ValueError(f"--l must be at least 1, got {args.l}")
     table = alpha_coeffs(args.l)
     obj = {
         "l": args.l,
@@ -162,6 +178,8 @@ def _cmd_ibp_alpha(args, argv) -> int:
 
 
 def _cmd_energy_build(args, argv) -> int:
+    if args.s is not None:
+        _finite("--s", args.s)
     bp = build_energy(args.l, max_stage=args.max_stage)
     obj = bp.to_obj()
     if args.s is not None:
@@ -209,10 +227,10 @@ def _cmd_solve(args, argv) -> int:
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
-    diag_s = float(cfg["diagnostics.s"]) if cfg["diagnostics.s"] != "" else None
+    diag_s = _finite("diagnostics.s", cfg["diagnostics.s"]) if cfg["diagnostics.s"] != "" else None
     energy_fn = None
     if cfg["energy.s"] != "":
-        es = float(cfg["energy.s"])
+        es = _finite("energy.s", cfg["energy.s"])
         bp = build_energy(cfg["flow.l"])
         energy_fn = lambda f: evaluate_energy(bp, es, f)
 
@@ -330,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUp as exc:
         print(f"error: blow-up at t = {exc.time:g}: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdViolation, ValueError, KeyError, OSError) as exc:
+    except (ThresholdViolation, SingularSystem, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ PASS/FAIL verdict computed only from thresholds carried in the config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,6 +247,17 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     at least beta - conv_margin.
     """
     cfg = _resolve(BONA_SMITH_DEFAULTS, config)
+    eps = cfg["eps"]
+    if len(eps) < 2 or min(eps) <= 0:
+        raise ValueError(f"bona-smith: the rate fits need at least two positive eps, got {eps}")
+    # the rates are read off frequencies near 1/eps, so the band must reach them
+    band, finest = cfg["n"] // 2 - 1, 1.0 / min(eps)
+    if band < finest:
+        raise ValueError(
+            f"bona-smith: n = {cfg['n']} keeps modes up to {band}, below the finest "
+            f"mollifier cutoff 1/eps = {finest:g}; the rate fits need "
+            f"n >= {2 * math.ceil(finest) + 2}"
+        )
     s = cfg["s"]
     phi = random_decay_field(
         cfg["n"], decay=s + 0.5 + cfg["eta"], seed=cfg["seed"], amplitude=cfg["amplitude"]

@@ -35,12 +35,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
+from typing import ClassVar
 
 import numpy as np
 
 from .diffpoly import DiffMonomial, DiffPoly, split_exact
 from .ibpcalc import alpha_coeffs
-from .spectral import TAU, SpectralField, _padded_values, _product_grid, sobolev_norm
+from .spectral import (
+    TAU,
+    SpectralField,
+    _d_weights,
+    _FieldQuad,
+    _padded_values,
+    _product_grid,
+    sobolev_norm,
+)
 from .spoly import SPoly, binom_s
 
 __all__ = [
@@ -126,7 +135,17 @@ class PTerm:
         return (self.a_out, self.inner, self.b)
 
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return _pterm_value(self, s, fieldval)
+        return self._value(_FieldQuad(fieldval), s)
+
+    def _grid(self, band: int) -> int:
+        return _product_grid(self.degree, band)
+
+    def _value(self, quad: _FieldQuad, s: float) -> float:
+        m = self._grid(quad.band)
+        db, dc = quad.values((self.b, self.c), m, float(s) + self.off)
+        vals = quad.bundle(self.a_out, self.inner, m)
+        vals = vals * db * dc
+        return float(self.coeff(float(s))) * TAU * float(vals.mean())
 
     def to_obj(self) -> dict:
         return {
@@ -164,13 +183,20 @@ class NormGapTerm:
 
     coeff: SPoly
     l: int
+    inner: ClassVar[tuple[int, ...]] = ()  # no bundle
 
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        k = np.arange(fieldval.modes.size, dtype=float)
+        return self._value(_FieldQuad(fieldval), s)
+
+    def _grid(self, band: int) -> int:
+        return _product_grid(3, band)
+
+    def _value(self, quad: _FieldQuad, s: float) -> float:
+        k = np.arange(quad.modes.size, dtype=float)
         gap = (1.0 + k * k) ** s - k ** (2.0 * s)
-        m = _product_grid(3, fieldval.band_limit())
-        u, du = _padded_values(fieldval.modes, (0, 2 * self.l - 1), m)
-        (g,) = _padded_values(fieldval.modes * gap, (0,), m)
+        m = self._grid(quad.band)
+        u, du = quad.values((0, 2 * self.l - 1), m)
+        (g,) = _padded_values(quad.modes * gap, (0,), m)
         vals = u * du * g
         return float(self.coeff(float(s))) * TAU * float(vals.mean())
 
@@ -197,24 +223,29 @@ class CommutatorTail:
     other_b: int
 
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        sigma = float(s) + self.off
-        m = _product_grid(len(self.inner) + 4, fieldval.band_limit())
-        dsig = _d_weights(np.arange(m // 2 + 1, dtype=float), sigma)
-        dmodes = _d_modes(fieldval, sigma)
+        return self._value(_FieldQuad(fieldval), s)
 
-        f, g = _padded_values(fieldval.modes, (self.rho, self.m_high), m)
+    def _grid(self, band: int) -> int:
+        return _product_grid(len(self.inner) + 4, band)
+
+    def _value(self, quad: _FieldQuad, s: float) -> float:
+        sigma = float(s) + self.off
+        m = self._grid(quad.band)
+        dsig = _d_weights(np.arange(m // 2 + 1, dtype=float), sigma)
+
+        f, g = quad.values((self.rho, self.m_high), m)
         prod_modes = np.fft.rfft(f * g) / m
         tail = np.fft.irfft(dsig * prod_modes * m, n=m)
         terms = range(self.i_max + 1)
-        lows = _padded_values(fieldval.modes, [self.rho + i for i in terms], m)
-        highs = _padded_values(dmodes, [self.m_high - i for i in terms], m)
+        lows = quad.values([self.rho + i for i in terms], m)
+        highs = quad.values([self.m_high - i for i in terms], m, sigma)
         for i, low, high in zip(terms, lows, highs):
             w = float(binom_s(self.off, i)(float(s)))
             tail = tail - w * low * high
 
-        vals = _bundle_values(fieldval.modes, self.a_out, self.inner, m)
+        vals = quad.bundle(self.a_out, self.inner, m)
         vals = vals * tail
-        vals = vals * _padded_values(dmodes, (self.other_b,), m)[0]
+        vals = vals * quad.values((self.other_b,), m, sigma)[0]
         return float(self.coeff(float(s))) * TAU * float(vals.mean())
 
     def to_obj(self) -> dict:
@@ -229,50 +260,6 @@ class CommutatorTail:
             "i_max": self.i_max,
             "other_b": self.other_b,
         }
-
-
-# ---------------------------------------------------------------------------
-# numeric evaluation helpers (padded-grid quadrature from spectral)
-# ---------------------------------------------------------------------------
-
-
-def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
-    """|k|^sigma with the k=0 value 0 for sigma != 0 (projection convention)."""
-    w = np.zeros_like(k)
-    if sigma == 0.0:
-        return np.ones_like(k)
-    np.power(k, sigma, out=w, where=k > 0)
-    return w
-
-
-def _d_modes(fieldval: SpectralField, sigma: float) -> np.ndarray:
-    """Modes of D^sigma u."""
-    return fieldval.modes * _d_weights(np.arange(fieldval.modes.size, dtype=float), sigma)
-
-
-def _bundle_values(modes: np.ndarray, a_out: int, inner: tuple[int, ...], m: int) -> np.ndarray:
-    """Values of d^{a_out}(prod_q d^q u) on an m-grid (1 for an empty bundle)."""
-    if not inner:
-        if a_out:
-            return np.zeros(m)
-        return np.ones(m)
-    vals = np.ones(m)
-    for v in _padded_values(modes, inner, m):
-        vals = vals * v
-    if a_out:
-        km = np.arange(m // 2 + 1, dtype=float)
-        vals = np.fft.irfft((1j * km) ** a_out * (np.fft.rfft(vals) / m) * m, n=m)
-    return vals
-
-
-def _pterm_value(pt: PTerm, s: float, fieldval: SpectralField) -> float:
-    m = _product_grid(pt.degree, fieldval.band_limit())
-    # a square transforms its D-factor once and multiplies it by itself
-    orders = (pt.b,) if pt.is_square else (pt.b, pt.c)
-    dvals = _padded_values(_d_modes(fieldval, float(s) + pt.off), orders, m)
-    vals = _bundle_values(fieldval.modes, pt.a_out, pt.inner, m)
-    vals = vals * dvals[0] * dvals[-1]
-    return float(pt.coeff(float(s))) * TAU * float(vals.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +698,31 @@ def _check_threshold(l: int, s) -> None:
         raise ThresholdViolation(f"need s > {thr} for l = {l}, got {s}")
 
 
+def _values(items: list, s: float, fieldval: SpectralField) -> list[float]:
+    """Each term's or marker's value, in item order, from one shared quadrature.
+
+    Items are evaluated sorted by (grid, bundle inner), so each factor is
+    transformed once and each bundle's plain product formed once, and both
+    are dropped when their grid or group ends.
+    """
+    quad = _FieldQuad(fieldval)
+    out = [0.0] * len(items)
+
+    def group(i: int) -> tuple:
+        return (items[i]._grid(quad.band), items[i].inner)
+
+    for i in sorted(range(len(items)), key=group):
+        out[i] = items[i]._value(quad, s)
+    return out
+
+
 def evaluate_energy(bp: EnergyBlueprint, s, fieldval: SpectralField) -> float:
     """E^s(u) = 1/2 |u|_{H^s}^2 + sum gamma(s) * correction integrals."""
     _check_threshold(bp.l, s)
     sf = float(s)
     total = 0.5 * sobolev_norm(fieldval, sf) ** 2
-    for c in bp.corrections:
-        total += float(c.gamma(sf)) * _pterm_value(c.term, sf, fieldval)
+    for c, value in zip(bp.corrections, _values([c.term for c in bp.corrections], sf, fieldval)):
+        total += float(c.gamma(sf)) * value
     return total
 
 
@@ -729,14 +734,9 @@ def energy_time_derivative(bp: EnergyBlueprint, s, fieldval: SpectralField) -> f
     input (included for honesty; empty when the construction succeeded).
     """
     _check_threshold(bp.l, s)
-    sf = float(s)
+    items = bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending
     total = 0.0
-    for t in bp.bounded_remainder:
-        total += _pterm_value(t, sf, fieldval)
-    for mk in bp.markers:
-        total += mk.evaluate(fieldval, sf)
-    for t in bp.resonant_residue:
-        total += _pterm_value(t, sf, fieldval)
-    for t in bp.pending:
-        total += _pterm_value(t, sf, fieldval)
+    # summed one by one in blueprint order; the terms cancel to many digits
+    for value in _values(items, float(s), fieldval):
+        total += value
     return total

@@ -194,6 +194,81 @@ def _product_grid(degree: int, band: int) -> int:
     return m + (m % 2)
 
 
+def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
+    """|k|^sigma with the k=0 value 0 for sigma != 0 (projection convention)."""
+    w = np.zeros_like(k)
+    if sigma == 0.0:
+        return np.ones_like(k)
+    np.power(k, sigma, out=w, where=k > 0)
+    return w
+
+
+class _FieldQuad:
+    """Padded-grid factors of one field, shared by the terms of one evaluation.
+
+    Built per call and dropped with it.  It keeps the D^sigma modes per sigma,
+    the samples of d^q u and d^q D^sigma u per (sigma or plain, q) on one grid
+    m at a time, and the plain product of one bundle group (inner, m) at a
+    time, with its spectrum once an outer derivative asks for it.  Terms
+    evaluated sorted by (m, inner) transform each factor and form each product
+    once.  Each array is computed exactly as a fresh _padded_values call
+    computes it, so sharing changes no bit; shared arrays are read-only.
+    """
+
+    def __init__(self, f: SpectralField):
+        self.modes = f.modes
+        self.band = f.band_limit()
+        self._dmodes: dict[float, np.ndarray] = {}
+        self._grid = 0
+        self._vals: dict[tuple, np.ndarray] = {}
+        self._group: list | None = None
+
+    def d_modes(self, sigma: float) -> np.ndarray:
+        """Modes of D^sigma u."""
+        dm = self._dmodes.get(sigma)
+        if dm is None:
+            dm = self.modes * _d_weights(np.arange(self.modes.size, dtype=float), sigma)
+            self._dmodes[sigma] = dm
+        return dm
+
+    def values(self, orders: Sequence[int], m: int, sigma: float | None = None) -> list[np.ndarray]:
+        """Samples of d^q u (sigma None) or d^q D^sigma u on the m-grid, q in orders."""
+        if m != self._grid:
+            self._grid, self._vals = m, {}
+        out = []
+        for q in orders:
+            key = (sigma, q)
+            v = self._vals.get(key)
+            if v is None:
+                modes = self.modes if sigma is None else self.d_modes(sigma)
+                (v,) = _padded_values(modes, (q,), m)
+                v.setflags(write=False)
+                self._vals[key] = v
+            out.append(v)
+        return out
+
+    def bundle(self, a_out: int, inner: tuple[int, ...], m: int) -> np.ndarray:
+        """Samples of d^{a_out}(prod_q d^q u) on the m-grid (1 for an empty bundle).
+
+        A new (inner, m) group replaces the previous one.
+        """
+        if not inner:
+            return np.zeros(m) if a_out else np.ones(m)
+        group = self._group
+        if group is None or group[0] != (inner, m):
+            prod = np.ones(m)
+            for v in self.values(inner, m):
+                prod = prod * v
+            prod.setflags(write=False)
+            group = self._group = [(inner, m), prod, None]
+        if not a_out:
+            return group[1]
+        if group[2] is None:
+            group[2] = np.fft.rfft(group[1]) / m
+        km = np.arange(m // 2 + 1, dtype=float)
+        return np.fft.irfft((1j * km) ** a_out * group[2] * m, n=m)
+
+
 def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> SpectralField:
     """Evaluate a single-symbol differential polynomial pointwise.
 

@@ -8,6 +8,7 @@ coefficients. A constant polynomial plays the role of a plain rational.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Union
 
@@ -120,8 +121,12 @@ class SPoly:
         return SPoly([Fraction(c) for c in obj])
 
 
+@lru_cache(maxsize=None)
 def binom_s(offset: int, j: int) -> SPoly:
-    """C(s + offset, j) = prod_{i=0}^{j-1} (s + offset - i) / j! as an SPoly."""
+    """C(s + offset, j) = prod_{i=0}^{j-1} (s + offset - i) / j! as an SPoly.
+
+    Memoized: an SPoly is never mutated, so callers may share the result.
+    """
     if j < 0:
         raise ValueError("binomial order must be nonnegative")
     acc = SPoly.const(1)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from kdvlab import cli
 from kdvlab.cli import main, parse_flat_config
 from kdvlab.experiments import (
     exp_conservation,
@@ -18,6 +19,7 @@ from kdvlab.experiments import (
     exp_scaling,
     run_experiment,
 )
+from kdvlab.modenergy import SingularSystem
 
 SOLVE_CFG = """
 # short model run
@@ -113,6 +115,34 @@ def test_energy_build_below_threshold_is_an_error():
     assert main(["energy", "build", "--l", "2", "--s", "3.5"]) == 2
 
 
+def _one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ibp", "alpha", "--l", "0"],
+        ["ibp", "alpha", "--l", "-2", "--verify"],
+        ["energy", "build", "--l", "2", "--s", "inf"],
+        ["energy", "build", "--l", "2", "--s", "nan"],
+    ],
+)
+def test_bad_argument_exits_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    assert _one_error_line(capsys)
+
+
+def test_singular_system_exits_2_with_one_line(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularSystem("stage 3: bucket (1, (0,), 1) not cancelled")
+
+    monkeypatch.setattr(cli, "build_energy", singular)
+    assert main(["energy", "build", "--l", "2"]) == 2
+    assert _one_error_line(capsys)
+
+
 def test_usage_error_exit_code():
     assert main(["exp", "not-an-experiment"]) == 2
     assert main([]) == 2
@@ -181,6 +211,10 @@ def test_solve_zero_ic(tmp_path):
         "diagnostics.every = 0",
         "integrator.order = 3",
         "grid.N = 128, 256",
+        "diagnostics.s = nan",
+        "diagnostics.s = inf",
+        "energy.s = nan",
+        "energy.s = inf",
     ],
 )
 def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
@@ -195,6 +229,15 @@ def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
 # ---------------------------------------------------------------------------
 # experiments: pipeline behavior on degenerate inputs (fast settings)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("line", ["n = 8", "n = 256", "eps = 0.05", "eps = 0.05, 0"])
+def test_exp_bona_smith_grid_too_small_for_fit_exits_2(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "b.cfg", line + "\n")
+    out = tmp_path / "out"
+    assert main(["exp", "bona-smith", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_conservation_zero_data_has_zero_drift():

@@ -7,6 +7,8 @@ the symbolic time-derivative decomposition is an identity on real fields.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -330,3 +332,81 @@ def test_markers_evaluate_finite():
     for mk in bp.markers:
         assert math.isfinite(mk.evaluate(u, 4.0))
     assert isinstance(bp.markers[0], (NormGapTerm, CommutatorTail))
+
+
+# ---------------------------------------------------------------------------
+# one shared quadrature per call: same bits, fixed transform count, no state
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def blueprints():
+    return {l: build_energy(l) for l in (2, 3, 4, 5)}
+
+
+def _fields(n, s):
+    # a smooth field (decay s + 2) and a rough one (decay 5), band n/3 - 1
+    return [
+        random_decay_field(n, decay=decay, seed=seed, amplitude=0.1, kmax=n // 3 - 1)
+        for decay, seed in ((s + 2.0, 41), (5.0, 42))
+    ]
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_shared_quadrature_is_bit_identical_to_term_by_term(blueprints, l, n):
+    bp = blueprints[l]
+    s = 4.0 * l - 4.0
+    for u in _fields(n, s):
+        total = 0.0
+        for item in bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending:
+            total += item.evaluate(u, s)
+        assert energy_time_derivative(bp, s, u) == total
+
+        energy = 0.5 * sobolev_norm(u, s) ** 2
+        for c in bp.corrections:
+            energy += float(c.gamma(s)) * c.term.evaluate(u, s)
+        assert evaluate_energy(bp, s, u) == energy
+
+
+def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
+    counts = {"rfft": 0, "irfft": 0}
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
+    u = _fields(128, 16.0)[1]
+    seen = []
+    for _ in range(2):
+        counts.update(rfft=0, irfft=0)
+        energy_time_derivative(blueprints[5], 16, u)
+        seen.append(dict(counts))
+    # each distinct factor is transformed once per call, and nothing carries over
+    assert seen[0] == seen[1] == {"rfft": 138, "irfft": 510}
+
+
+def test_energy_evaluation_is_thread_safe(blueprints):
+    bp, s = blueprints[4], 12.0
+    fields = [
+        random_decay_field(128, decay=5.0, seed=seed, amplitude=0.1, kmax=42) for seed in range(4)
+    ]
+
+    def both(u):
+        return energy_time_derivative(bp, s, u), evaluate_energy(bp, s, u)
+
+    serial = [both(u) for u in fields]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(both, fields))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
