@@ -198,13 +198,14 @@ def _cmd_energy_build(args, argv) -> int:
 def _make_ic(cfg: dict) -> SpectralField:
     n = cfg["grid.N"]
     kind = cfg["ic.kind"]
+    amplitude = _finite("ic.amplitude", cfg["ic.amplitude"])
+    decay = _finite("ic.decay", cfg["ic.decay"])
     if kind == "cosine":
-        return cfg["ic.amplitude"] * cosine_field(n, cfg["ic.wavenumber"])
+        return amplitude * cosine_field(n, cfg["ic.wavenumber"])
     if kind == "random":
         kmax = cfg["ic.kmax"] or None
         return random_decay_field(
-            n, decay=cfg["ic.decay"], seed=cfg["ic.seed"],
-            amplitude=cfg["ic.amplitude"], kmax=kmax,
+            n, decay=decay, seed=cfg["ic.seed"], amplitude=amplitude, kmax=kmax,
         )
     if kind == "zero":
         return SpectralField.zero(n)

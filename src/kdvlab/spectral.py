@@ -269,60 +269,121 @@ class _FieldQuad:
         return np.fft.irfft((1j * km) ** a_out * group[2] * m, n=m)
 
 
+def _fast_size(m: int) -> int:
+    """Smallest even 2^a 3^b 5^c >= m: a padded grid with a cheap FFT."""
+    best = 2 * m
+    p5 = 1
+    while p5 < m:
+        p = p5
+        while p < m:
+            # the smallest 2p * 2^a >= m
+            best = min(best, 2 * p << ((m - 1) // (2 * p)).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
+
+
+class _Monomials:
+    """A single-symbol polynomial as its distinct derivative orders.
+
+    const is the factor-free part; orders are the sorted distinct orders q of
+    the factors d^q u; terms holds (coefficient, indices into orders) per
+    monomial, one index per factor.  Nothing changes after construction.
+    """
+
+    __slots__ = ("const", "orders", "terms", "degree")
+
+    def __init__(self, p: DiffPoly):
+        if len(p.symbols()) > 1:
+            raise ValueError("numeric evaluation needs a single-symbol polynomial")
+        const, mons = 0.0, []
+        for monomial in p.monomials:
+            if monomial.factors:
+                mons.append((float(monomial.coeff), [k for _, k in monomial.factors]))
+            else:
+                const += float(monomial.coeff)
+        self.const = const
+        self.orders = tuple(sorted({q for _, qs in mons for q in qs}))
+        index = {q: i for i, q in enumerate(self.orders)}
+        self.terms = tuple((c, tuple(index[q] for q in qs)) for c, qs in mons)
+        self.degree = max((len(qs) for _, qs in mons), default=0)
+
+    def multipliers(self, band: int, m: int) -> np.ndarray:
+        """(ik)^q * m for k = 0..band, one row per order q."""
+        ik = 1j * np.arange(band + 1, dtype=np.float64)
+        return ik ** np.array(self.orders, dtype=int).reshape(-1, 1) * m
+
+    def products(self, modes: np.ndarray, mult: np.ndarray, m: int) -> np.ndarray:
+        """sum_c c prod d^q u on the m-grid: one batched irfft for every order.
+
+        Only modes[:band + 1] are read; every product must be alias-free on m.
+        """
+        spec = np.zeros((len(self.orders), m // 2 + 1), dtype=np.complex128)
+        spec[:, : mult.shape[1]] = modes[: mult.shape[1]] * mult
+        vals = np.fft.irfft(spec, n=m)
+        total = np.zeros(m)
+        for c, idx in self.terms:
+            prod = c * vals[idx[0]]
+            for i in idx[1:]:
+                prod *= vals[i]
+            total += prod
+        return total
+
+
+class _PolyPlan:
+    """A nonlinearity compiled for one grid size n and dealias fraction.
+
+    The input is truncated to the band |k| <= K = dealias*n/2; each distinct
+    derivative order is transformed once onto one padded grid m, and the
+    summed products come back through one rfft, truncated to the same band.
+    A degree-d product reaches mode d*K, which folds onto m - d*K: m > (d+1)*K
+    keeps every fold out of the band (the 2/3 rule at d = 2).  m is rounded
+    up to a cheap FFT size and is never below n.  The plan is immutable:
+    apply allocates its own arrays, so threads may share one.
+    """
+
+    __slots__ = ("n", "take", "m", "poly", "mult")
+
+    def __init__(self, p: DiffPoly, n: int, dealias: float):
+        if not (0.0 < dealias <= 1.0):
+            raise ValueError("dealias fraction must lie in (0, 1]")
+        self.n = n
+        # the Nyquist mode of a field is zero, so the kept band stops below it
+        self.take = min(int(dealias * (n // 2)), n // 2 - 1)
+        self.poly = _Monomials(p)
+        self.m = max(_fast_size((self.poly.degree + 1) * self.take + 1), n)
+        self.mult = self.poly.multipliers(self.take, self.m)
+
+    def apply(self, modes: np.ndarray) -> np.ndarray:
+        """Modes of p(u) for u given by its rfft-layout modes on the n-grid."""
+        out = np.zeros(self.n // 2 + 1, dtype=np.complex128)
+        if self.poly.terms:
+            total = self.poly.products(modes, self.mult, self.m)
+            out[: self.take + 1] = np.fft.rfft(total)[: self.take + 1] / self.m
+        out[0] += self.poly.const
+        return out
+
+
 def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> SpectralField:
     """Evaluate a single-symbol differential polynomial pointwise.
 
-    The input is first truncated to |k| <= dealias*N/2; every monomial is
-    then formed on a zero-padded grid large enough that its product is
-    alias-free, and the result is truncated back to the same band.
+    The input is first truncated to |k| <= dealias*N/2, the products are
+    formed on a zero-padded grid large enough to be alias-free, and the
+    result is truncated back to the same band (see _PolyPlan).
     """
-    syms = p.symbols()
-    if len(syms) > 1:
-        raise ValueError("pointwise evaluation needs a single-symbol polynomial")
-    if not (0.0 < dealias <= 1.0):
-        raise ValueError("dealias fraction must lie in (0, 1]")
-    cut = int(dealias * (f.n // 2))
-    modes = f.modes.copy()
-    modes[cut + 1 :] = 0.0
-    out = np.zeros(f.n // 2 + 1, dtype=np.complex128)
-    const = 0.0
-    for monomial in p.monomials:
-        if not monomial.factors:
-            const += float(monomial.coeff)
-            continue
-        orders = [k for _, k in monomial.factors]
-        m = max(_product_grid(len(orders), cut), f.n)
-        vals = _padded_values(modes, orders, m)
-        prod = np.full(m, float(monomial.coeff))
-        for v in vals:
-            prod = prod * v
-        spec = np.fft.rfft(prod) / m
-        take = min(cut, f.n // 2 - 1)
-        out[: take + 1] += spec[: take + 1]
-    out[0] += const
-    out[min(cut, f.n // 2) + 1 :] = 0.0
-    return SpectralField(f.n, out)
+    return SpectralField(f.n, _PolyPlan(p, f.n, dealias).apply(f.modes))
 
 
 def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
     """int p(u, u_x, ...) dx by exact spectral quadrature (padded products)."""
-    p = e.integrand if isinstance(e, IntegralExpr) else e
-    syms = p.symbols()
-    if len(syms) > 1:
-        raise ValueError("numeric evaluation needs a single-symbol integrand")
-    band = f.band_limit()
-    total = 0.0
-    for monomial in p.monomials:
-        if not monomial.factors:
-            total += float(monomial.coeff)
-            continue
-        orders = [k for _, k in monomial.factors]
-        m = max(_product_grid(len(orders), band), 4)
-        vals = _padded_values(f.modes, orders, m)
-        prod = np.ones(m)
-        for v in vals:
-            prod = prod * v
-        total += float(monomial.coeff) * float(np.mean(prod))
+    poly = _Monomials(e.integrand if isinstance(e, IntegralExpr) else e)
+    total = poly.const
+    if poly.terms:
+        band = f.band_limit()
+        m = max(_product_grid(poly.degree, band), 4)
+        # a linear integrand's grid may stop below its band; only its mean counts
+        mult = poly.multipliers(min(band, m // 2), m)
+        total += float(np.mean(poly.products(f.modes, mult, m)))
     return TAU * total
 
 
@@ -418,8 +479,8 @@ def regularized_flow(l: int, mu: float) -> FlowSpec:
     """Model flow plus parabolic damping, Fourier symbol -mu k^{2l+2}."""
     if l < 2:
         raise ValueError("the model flow needs l >= 2")
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     nl = mono(1, [("u", 0), ("u", 2 * l - 1)])
     return FlowSpec(
         "regularized",
@@ -485,10 +546,7 @@ class _Stepper:
     """Precomputed exponential one-step scheme for a fixed flow/grid/dt."""
 
     def __init__(self, flow: FlowSpec, n: int, dt: float, dealias: float, order: int):
-        self.flow = flow
-        self.n = n
         self.dt = dt
-        self.dealias = dealias
         self.order = order
         cut = int(dealias * (n // 2))
         mask = np.zeros(n // 2 + 1)
@@ -508,13 +566,12 @@ class _Stepper:
             self.w1 = p1 - 3.0 * p2 + 4.0 * p3
             self.w2 = 2.0 * p2 - 4.0 * p3
             self.w3 = -p2 + 4.0 * p3
-        self._nl_poly = flow.nonlinear
+        self._plan = None if flow.nonlinear is None else _PolyPlan(flow.nonlinear, n, dealias)
 
     def _nl(self, modes: np.ndarray) -> np.ndarray:
-        if self._nl_poly is None:
+        if self._plan is None:
             return np.zeros_like(modes)
-        f = SpectralField(self.n, modes)
-        return eval_diffpoly(self._nl_poly, f, self.dealias).modes
+        return self._plan.apply(modes)
 
     def advance(self, modes: np.ndarray, t: float) -> np.ndarray:
         h = self.dt

@@ -6,6 +6,7 @@ degenerate-input behavior of each experiment.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -215,12 +216,22 @@ def test_solve_zero_ic(tmp_path):
         "diagnostics.s = inf",
         "energy.s = nan",
         "energy.s = inf",
+        "flow.kind = regularized\nflow.mu = nan",
+        "flow.kind = regularized\nflow.mu = inf",
+        "ic.amplitude = inf",
+        "ic.amplitude = nan",
+        "ic.kind = random\nic.decay = nan",
+        "ic.kind = random\nic.decay = inf",
     ],
 )
 def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
     out = tmp_path / "run.csv"
     cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + line + "\n")
-    assert main(["solve", "--config", cfg]) == 2
+    # pytest captures warnings before they reach stderr, so count them here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg]) == 2
+    assert not [str(w.message) for w in caught]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()

@@ -1,7 +1,8 @@
-"""Randomized algebra laws, certified against the variational oracle.
+"""Randomized algebra laws, certified against the variational oracle, and
+the FFT grid-size rule.
 
-Every property here is exact (rational arithmetic end to end), so a single
-counterexample is a real bug, never noise.
+Every property here is exact (rational or integer arithmetic end to end), so
+a single counterexample is a real bug, never noise.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from kdvlab.diffpoly import (
     split_exact,
     total_derivative,
 )
+from kdvlab.spectral import _fast_size
 from kdvlab.spoly import SPoly
 
 coeffs = st.builds(
@@ -99,3 +101,18 @@ def test_spoly_evaluation_is_a_homomorphism(a, b, s0):
     assert (a + b)(s0) == a(s0) + b(s0)
     assert (a * b)(s0) == a(s0) * b(s0)
     assert (a - b)(s0) == a(s0) - b(s0)
+
+
+def _five_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10**5))
+def test_fast_size_is_the_next_even_five_smooth_number(m):
+    n = _fast_size(m)
+    assert n >= m and n % 2 == 0 and _five_smooth(n)
+    assert not any(_five_smooth(k) for k in range(m + m % 2, n, 2))

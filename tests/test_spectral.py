@@ -1,6 +1,8 @@
 """Pseudospectral layer: fields, multipliers, quadrature, flows, stepping."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from kdvlab.diffpoly import mono, sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
+    _PolyPlan,
     BlowUp,
     Diagnostics,
     SolverConfig,
@@ -261,3 +264,158 @@ def test_integrator_refinement_order():
     errs = [np.max(np.abs(final(dt).modes - ref)) for dt in (0.2 / 64, 0.2 / 128)]
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 24.0, ratio
+
+
+# ---------------------------------------------------------------------------
+# the compiled right-hand-side plan against per-monomial quadrature
+# ---------------------------------------------------------------------------
+
+PLAN_FLOWS = {f"hier{l}": hierarchy_flow(l) for l in (1, 2, 3, 4)} | {"model2": model_flow(2)}
+
+
+def _plan_field(n, kind):
+    if kind == "smooth":
+        return random_decay_field(n, decay=6.0, seed=11, amplitude=0.1)
+    return random_decay_field(n, decay=1.5, seed=12, amplitude=0.1)
+
+
+def _monomial_values(modes, orders, m):
+    """Samples of each d^q u on the m-grid, one irfft per factor."""
+    take = min(modes.size, m // 2 + 1)
+    k = np.arange(take, dtype=np.float64)
+    out = []
+    for q in orders:
+        padded = np.zeros(m // 2 + 1, dtype=np.complex128)
+        padded[:take] = modes[:take] * (1j * k) ** q
+        out.append(np.fft.irfft(padded * m, n=m))
+    return out
+
+
+def _reference_rhs(p, f, dealias):
+    """Each monomial on its own grid, its spectrum summed into the band.
+
+    A degree-d product of band-K factors folds mode d*K onto m - d*K, so an
+    even grid of at least (d+1)*K + 2 points, and at least n, keeps the band
+    clean (d*K + 2 would not for d >= 3).
+    """
+    take = min(int(dealias * (f.n // 2)), f.n // 2 - 1)
+    modes = f.modes.copy()
+    modes[take + 1 :] = 0.0
+    out = np.zeros(f.n // 2 + 1, dtype=np.complex128)
+    for monomial in p.monomials:
+        orders = [q for _, q in monomial.factors]
+        m = (len(orders) + 1) * take + 2
+        m = max(m + m % 2, f.n)
+        prod = np.full(m, float(monomial.coeff))
+        for v in _monomial_values(modes, orders, m):
+            prod = prod * v
+        out[: take + 1] += (np.fft.rfft(prod) / m)[: take + 1]
+    return out
+
+
+def _reference_functional(p, f):
+    """Each monomial's mean on its own degree*band + 2 grid; also the sum of |terms|."""
+    band = f.band_limit()
+    terms = []
+    for monomial in p.monomials:
+        orders = [q for _, q in monomial.factors]
+        m = len(orders) * band + 2
+        m += m % 2
+        prod = np.ones(m)
+        for v in _monomial_values(f.modes, orders, m):
+            prod = prod * v
+        terms.append(float(monomial.coeff) * float(np.mean(prod)))
+    return TAU * sum(terms), TAU * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("kind", ["smooth", "rough"])
+@pytest.mark.parametrize("n", [128, 256, 1024])
+@pytest.mark.parametrize("name", sorted(PLAN_FLOWS))
+def test_rhs_plan_matches_per_monomial_quadrature(name, n, kind):
+    flow, f = PLAN_FLOWS[name], _plan_field(n, kind)
+    ref = _reference_rhs(flow.nonlinear, f, 2.0 / 3.0)
+    got = eval_diffpoly(flow.nonlinear, f, dealias=2.0 / 3.0).modes
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = f.modes * flow.linear_on(n) + ref
+    got = rhs_field(flow, f, dealias=2.0 / 3.0).modes
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["smooth", "rough"])
+@pytest.mark.parametrize("n", [128, 256, 1024])
+def test_functional_eval_matches_per_monomial_quadrature(n, kind):
+    f = _plan_field(n, kind)
+    for l in (0, 1, 2, 3):
+        h = level(l).hamiltonian
+        ref, scale = _reference_functional(h.integrand, f)
+        assert abs(functional_eval(h, f) - ref) <= 1e-12 * scale, l
+
+
+def test_rhs_plan_is_alias_free_on_an_enlarged_grid():
+    # u^4 u_x with u = cos x + cos(Kx)/2 reaches mode 5K; on N = 200 the plan's
+    # grid is rounded up past 6K + 2 to a 5-smooth size
+    n = 200
+    big_k = int(2.0 / 3.0 * (n // 2))
+    u = sym("u")
+    p = u * u * u * u * sym("u", 1)
+    assert _PolyPlan(p, n, 2.0 / 3.0).m > 6 * big_k + 2
+    f = SpectralField.from_function(lambda x: np.cos(x) + np.cos(big_k * x) / 2.0, n)
+    # exact product: full (non-circular) convolution of the Fourier coefficients
+    # on k = -5K..5K; index K + k holds mode k of a factor
+    c = np.zeros(2 * big_k + 1, dtype=np.complex128)
+    c[big_k + 1] = c[big_k - 1] = 0.5
+    c[2 * big_k] = c[0] = 0.25
+    cx = c * 1j * np.arange(-big_k, big_k + 1)
+    prod = cx
+    for _ in range(4):
+        prod = np.convolve(prod, c)
+    exact = np.zeros(n // 2 + 1, dtype=np.complex128)
+    exact[: big_k + 1] = prod[5 * big_k : 6 * big_k + 1]
+    got = eval_diffpoly(p, f).modes
+    assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_rhs_fft_count_is_pinned(monkeypatch):
+    counts = {"rfft": 0, "irfft": 0}
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
+    flow, f = hierarchy_flow(3), _plan_field(1024, "smooth")
+    seen = []
+    for _ in range(2):
+        counts.update(rfft=0, irfft=0)
+        rhs_field(flow, f, dealias=2.0 / 3.0)
+        seen.append(dict(counts))
+    # every derivative order in one batched irfft, the summed products in one rfft
+    assert seen[0] == seen[1] == {"rfft": 1, "irfft": 1}
+    counts.update(rfft=0, irfft=0)
+    step(f, flow, SolverConfig(n=1024, dt=1e-4, t_final=1e-4, order=4))
+    assert counts == {"rfft": 4, "irfft": 4}
+
+
+def test_rhs_plan_is_thread_safe():
+    flow = hierarchy_flow(3)
+    fields = [random_decay_field(256, decay=2.0, seed=seed, amplitude=0.1) for seed in range(4)]
+    plan = _PolyPlan(flow.nonlinear, 256, 2.0 / 3.0)
+
+    def both(f):
+        return eval_diffpoly(flow.nonlinear, f).modes, plan.apply(f.modes)
+
+    serial = [both(f) for f in fields]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(both, fields * 8))
+    finally:
+        sys.setswitchinterval(interval)
+    for (a, b), (c, d) in zip(threaded, serial * 8):
+        assert np.array_equal(a, c) and np.array_equal(b, d)
