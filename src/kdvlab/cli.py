@@ -22,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +35,9 @@ from .manifest import RunManifest
 from .modenergy import (
     SingularSystem,
     ThresholdViolation,
+    _check_threshold,
     build_energy,
     evaluate_energy,
-    regularity_threshold,
 )
 from .spectral import (
     BlowUp,
@@ -179,15 +178,10 @@ def _cmd_ibp_alpha(args, argv) -> int:
 
 def _cmd_energy_build(args, argv) -> int:
     if args.s is not None:
-        _finite("--s", args.s)
+        _check_threshold(args.l, _finite("--s", args.s))
     bp = build_energy(args.l, max_stage=args.max_stage)
     obj = bp.to_obj()
     if args.s is not None:
-        thr = regularity_threshold(args.l)
-        if Fraction(args.s).limit_denominator(10**9) <= thr:
-            raise ThresholdViolation(
-                f"s = {args.s} is at or below the construction threshold {thr}"
-            )
         obj["s"] = args.s
         obj["gammas_at_s"] = [float(g(args.s)) for g in bp.gammas()]
     _emit(json.dumps(obj, indent=2, sort_keys=True), args.out)

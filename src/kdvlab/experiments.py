@@ -181,6 +181,11 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
     log-log slope, which must land in [slope_lo, slope_hi].
     """
     cfg = _resolve(MU_CAUCHY_DEFAULTS, config)
+    mus = cfg["mus"]
+    if len(set(mus)) < 2 or not all(0.0 < mu < math.inf for mu in mus):
+        raise ValueError(
+            f"mu-cauchy: the rate fit needs at least two distinct positive finite mus, got {mus}"
+        )
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
     sc = SolverConfig(
         n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],

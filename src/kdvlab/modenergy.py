@@ -46,8 +46,8 @@ from .spectral import (
     SpectralField,
     _d_weights,
     _FieldQuad,
-    _padded_values,
     _product_grid,
+    _samples,
     sobolev_norm,
 )
 from .spoly import SPoly, binom_s
@@ -135,17 +135,11 @@ class PTerm:
         return (self.a_out, self.inner, self.b)
 
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return self._value(_FieldQuad(fieldval), s)
+        return _values([self], float(s), fieldval)[0]
 
-    def _grid(self, band: int) -> int:
-        return _product_grid(self.degree, band)
-
-    def _value(self, quad: _FieldQuad, s: float) -> float:
-        m = self._grid(quad.band)
-        db, dc = quad.values((self.b, self.c), m, float(s) + self.off)
-        vals = quad.bundle(self.a_out, self.inner, m)
-        vals = vals * db * dc
-        return float(self.coeff(float(s))) * TAU * float(vals.mean())
+    def _integrand(self, quad: _FieldQuad, s: float, m: int) -> np.ndarray:
+        db, dc = quad.values((self.b, self.c), m, s + self.off)
+        return quad.bundle(self.a_out, self.inner, m) * db * dc
 
     def to_obj(self) -> dict:
         return {
@@ -184,21 +178,17 @@ class NormGapTerm:
     coeff: SPoly
     l: int
     inner: ClassVar[tuple[int, ...]] = ()  # no bundle
+    degree: ClassVar[int] = 3
 
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return self._value(_FieldQuad(fieldval), s)
+        return _values([self], float(s), fieldval)[0]
 
-    def _grid(self, band: int) -> int:
-        return _product_grid(3, band)
-
-    def _value(self, quad: _FieldQuad, s: float) -> float:
+    def _integrand(self, quad: _FieldQuad, s: float, m: int) -> np.ndarray:
         k = np.arange(quad.modes.size, dtype=float)
         gap = (1.0 + k * k) ** s - k ** (2.0 * s)
-        m = self._grid(quad.band)
         u, du = quad.values((0, 2 * self.l - 1), m)
-        (g,) = _padded_values(quad.modes * gap, (0,), m)
-        vals = u * du * g
-        return float(self.coeff(float(s))) * TAU * float(vals.mean())
+        (g,) = _samples(quad.modes, gap[None], m)
+        return u * du * g
 
     def to_obj(self) -> dict:
         return {"kind": "norm_gap", "coeff": self.coeff.to_obj(), "l": self.l}
@@ -222,31 +212,28 @@ class CommutatorTail:
     i_max: int
     other_b: int
 
+    @property
+    def degree(self) -> int:
+        return len(self.inner) + 4
+
     def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return self._value(_FieldQuad(fieldval), s)
+        return _values([self], float(s), fieldval)[0]
 
-    def _grid(self, band: int) -> int:
-        return _product_grid(len(self.inner) + 4, band)
-
-    def _value(self, quad: _FieldQuad, s: float) -> float:
-        sigma = float(s) + self.off
-        m = self._grid(quad.band)
+    def _integrand(self, quad: _FieldQuad, s: float, m: int) -> np.ndarray:
+        sigma = s + self.off
         dsig = _d_weights(np.arange(m // 2 + 1, dtype=float), sigma)
 
         f, g = quad.values((self.rho, self.m_high), m)
-        prod_modes = np.fft.rfft(f * g) / m
-        tail = np.fft.irfft(dsig * prod_modes * m, n=m)
+        (tail,) = _samples(np.fft.rfft(f * g) / m, dsig[None], m)
         terms = range(self.i_max + 1)
         lows = quad.values([self.rho + i for i in terms], m)
         highs = quad.values([self.m_high - i for i in terms], m, sigma)
         for i, low, high in zip(terms, lows, highs):
-            w = float(binom_s(self.off, i)(float(s)))
+            w = float(binom_s(self.off, i)(s))
             tail = tail - w * low * high
 
-        vals = quad.bundle(self.a_out, self.inner, m)
-        vals = vals * tail
-        vals = vals * quad.values((self.other_b,), m, sigma)[0]
-        return float(self.coeff(float(s))) * TAU * float(vals.mean())
+        vals = quad.bundle(self.a_out, self.inner, m) * tail
+        return vals * quad.values((self.other_b,), m, sigma)[0]
 
     def to_obj(self) -> dict:
         return {
@@ -701,18 +688,18 @@ def _check_threshold(l: int, s) -> None:
 def _values(items: list, s: float, fieldval: SpectralField) -> list[float]:
     """Each term's or marker's value, in item order, from one shared quadrature.
 
-    Items are evaluated sorted by (grid, bundle inner), so each factor is
-    transformed once and each bundle's plain product formed once, and both
-    are dropped when their grid or group ends.
+    An item of degree d is integrated on the grid _product_grid(d, band),
+    where the mean of its integrand's samples is exact.  Items are evaluated
+    sorted by (grid, bundle inner), so each factor is transformed once and
+    each bundle's plain product formed once, and both are dropped when their
+    grid or group ends.
     """
     quad = _FieldQuad(fieldval)
+    grids = [_product_grid(item.degree, quad.band) for item in items]
     out = [0.0] * len(items)
-
-    def group(i: int) -> tuple:
-        return (items[i]._grid(quad.band), items[i].inner)
-
-    for i in sorted(range(len(items)), key=group):
-        out[i] = items[i]._value(quad, s)
+    for i in sorted(range(len(items)), key=lambda i: (grids[i], items[i].inner)):
+        vals = items[i]._integrand(quad, s, grids[i])
+        out[i] = float(items[i].coeff(s)) * TAU * float(vals.mean())
     return out
 
 

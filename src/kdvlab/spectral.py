@@ -134,11 +134,7 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     """
     k = f.wavenumbers()
     if kind == "D":
-        w = np.zeros_like(k, dtype=np.complex128)
-        if sigma == 0:
-            w[:] = 1.0
-        else:
-            w[1:] = k[1:] ** float(sigma)
+        w = _d_weights(k, float(sigma))
     elif kind == "J":
         w = (1.0 + k * k) ** (float(sigma) / 2.0) + 0j
     elif kind == "d":
@@ -172,20 +168,25 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
     return TAU * float(prod[0].real + 2.0 * np.sum(prod[1:].real))
 
 
-def _padded_values(modes: np.ndarray, orders: Sequence[int], m: int) -> list[np.ndarray]:
-    """Physical samples of each requested derivative on an m-point grid.
+def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+    """Samples on the m-grid of modes * w, one row per row w of weights.
 
-    The caller guarantees every nonzero mode index fits below m//2, so
-    trimming or padding the stored half-spectrum loses nothing.
+    Every padded spectrum-to-grid transform goes through here, in one order of
+    operations: (modes[:take] * w[:take]) * m, take = min(len(w), m//2 + 1),
+    goes to one batched irfft, which zero-pads it to m//2 + 1 modes.  The
+    energy's bits depend on that order.  The caller guarantees every nonzero
+    mode index fits below m//2, so trimming or padding the stored
+    half-spectrum loses nothing.
     """
-    take = min(modes.size, m // 2 + 1)
-    k = np.arange(take, dtype=np.float64)
-    out = []
-    for order in orders:
-        padded = np.zeros(m // 2 + 1, dtype=np.complex128)
-        padded[:take] = modes[:take] * (1j * k) ** order
-        out.append(np.fft.irfft(padded * m, n=m))
-    return out
+    take = min(weights.shape[1], m // 2 + 1)
+    return np.fft.irfft(modes[:take] * weights[:, :take] * m, n=m)
+
+
+def _d_rows(orders: Sequence[int], take: int) -> np.ndarray:
+    """(ik)^q for k = 0..take-1, one row per order q."""
+    ik = 1j * np.arange(take, dtype=np.float64)
+    # an int scalar q takes NumPy's fast paths for q <= 2
+    return np.array([ik**q for q in orders])
 
 
 def _product_grid(degree: int, band: int) -> int:
@@ -207,18 +208,20 @@ class _FieldQuad:
     """Padded-grid factors of one field, shared by the terms of one evaluation.
 
     Built per call and dropped with it.  It keeps the D^sigma modes per sigma,
-    the samples of d^q u and d^q D^sigma u per (sigma or plain, q) on one grid
-    m at a time, and the plain product of one bundle group (inner, m) at a
-    time, with its spectrum once an outer derivative asks for it.  Terms
-    evaluated sorted by (m, inner) transform each factor and form each product
-    once.  Each array is computed exactly as a fresh _padded_values call
-    computes it, so sharing changes no bit; shared arrays are read-only.
+    the (ik)^q rows per (orders, length), the samples of d^q u and d^q D^sigma u
+    per (sigma or plain, q) on one grid m at a time, and the plain product of
+    one bundle group (inner, m) at a time, with its spectrum once an outer
+    derivative asks for it.  Terms evaluated sorted by (m, inner) transform
+    each factor and form each product once.  Every sample comes from _samples,
+    row by row the same bits as a transform of its own, so sharing changes no
+    bit; shared arrays are read-only.
     """
 
     def __init__(self, f: SpectralField):
         self.modes = f.modes
         self.band = f.band_limit()
         self._dmodes: dict[float, np.ndarray] = {}
+        self._rows: dict[tuple, np.ndarray] = {}
         self._grid = 0
         self._vals: dict[tuple, np.ndarray] = {}
         self._group: list | None = None
@@ -231,21 +234,29 @@ class _FieldQuad:
             self._dmodes[sigma] = dm
         return dm
 
+    def d_rows(self, orders: tuple[int, ...], take: int) -> np.ndarray:
+        """_d_rows(orders, take), once per evaluation: the power costs more than
+        a small transform."""
+        rows = self._rows.get((orders, take))
+        if rows is None:
+            rows = self._rows[(orders, take)] = _d_rows(orders, take)
+        return rows
+
     def values(self, orders: Sequence[int], m: int, sigma: float | None = None) -> list[np.ndarray]:
-        """Samples of d^q u (sigma None) or d^q D^sigma u on the m-grid, q in orders."""
+        """Samples of d^q u (sigma None) or d^q D^sigma u on the m-grid, q in orders.
+
+        The orders not yet sampled on this grid are transformed in one call.
+        """
         if m != self._grid:
             self._grid, self._vals = m, {}
-        out = []
-        for q in orders:
-            key = (sigma, q)
-            v = self._vals.get(key)
-            if v is None:
-                modes = self.modes if sigma is None else self.d_modes(sigma)
-                (v,) = _padded_values(modes, (q,), m)
-                v.setflags(write=False)
-                self._vals[key] = v
-            out.append(v)
-        return out
+        missing = [q for q in dict.fromkeys(orders) if (sigma, q) not in self._vals]
+        if missing:
+            modes = self.modes if sigma is None else self.d_modes(sigma)
+            rows = _samples(modes, self.d_rows(tuple(missing), min(modes.size, m // 2 + 1)), m)
+            rows.setflags(write=False)
+            for q, v in zip(missing, rows):
+                self._vals[(sigma, q)] = v
+        return [self._vals[(sigma, q)] for q in orders]
 
     def bundle(self, a_out: int, inner: tuple[int, ...], m: int) -> np.ndarray:
         """Samples of d^{a_out}(prod_q d^q u) on the m-grid (1 for an empty bundle).
@@ -265,8 +276,7 @@ class _FieldQuad:
             return group[1]
         if group[2] is None:
             group[2] = np.fft.rfft(group[1]) / m
-        km = np.arange(m // 2 + 1, dtype=float)
-        return np.fft.irfft((1j * km) ** a_out * group[2] * m, n=m)
+        return _samples(group[2], self.d_rows((a_out,), m // 2 + 1), m)[0]
 
 
 def _fast_size(m: int) -> int:
@@ -308,20 +318,9 @@ class _Monomials:
         self.terms = tuple((c, tuple(index[q] for q in qs)) for c, qs in mons)
         self.degree = max((len(qs) for _, qs in mons), default=0)
 
-    def multipliers(self, band: int, m: int) -> np.ndarray:
-        """(ik)^q * m for k = 0..band, one row per order q."""
-        ik = 1j * np.arange(band + 1, dtype=np.float64)
-        return ik ** np.array(self.orders, dtype=int).reshape(-1, 1) * m
-
-    def products(self, modes: np.ndarray, mult: np.ndarray, m: int) -> np.ndarray:
-        """sum_c c prod d^q u on the m-grid: one batched irfft for every order.
-
-        Only modes[:band + 1] are read; every product must be alias-free on m.
-        """
-        spec = np.zeros((len(self.orders), m // 2 + 1), dtype=np.complex128)
-        spec[:, : mult.shape[1]] = modes[: mult.shape[1]] * mult
-        vals = np.fft.irfft(spec, n=m)
-        total = np.zeros(m)
+    def products(self, vals: np.ndarray) -> np.ndarray:
+        """sum_c c prod d^q u from the samples vals, one row per order q."""
+        total = np.zeros(vals.shape[1])
         for c, idx in self.terms:
             prod = c * vals[idx[0]]
             for i in idx[1:]:
@@ -342,7 +341,7 @@ class _PolyPlan:
     apply allocates its own arrays, so threads may share one.
     """
 
-    __slots__ = ("n", "take", "m", "poly", "mult")
+    __slots__ = ("n", "take", "m", "poly", "rows")
 
     def __init__(self, p: DiffPoly, n: int, dealias: float):
         if not (0.0 < dealias <= 1.0):
@@ -352,13 +351,13 @@ class _PolyPlan:
         self.take = min(int(dealias * (n // 2)), n // 2 - 1)
         self.poly = _Monomials(p)
         self.m = max(_fast_size((self.poly.degree + 1) * self.take + 1), n)
-        self.mult = self.poly.multipliers(self.take, self.m)
+        self.rows = _d_rows(self.poly.orders, self.take + 1)
 
     def apply(self, modes: np.ndarray) -> np.ndarray:
         """Modes of p(u) for u given by its rfft-layout modes on the n-grid."""
         out = np.zeros(self.n // 2 + 1, dtype=np.complex128)
         if self.poly.terms:
-            total = self.poly.products(modes, self.mult, self.m)
+            total = self.poly.products(_samples(modes, self.rows, self.m))
             out[: self.take + 1] = np.fft.rfft(total)[: self.take + 1] / self.m
         out[0] += self.poly.const
         return out
@@ -374,17 +373,21 @@ def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> 
     return SpectralField(f.n, _PolyPlan(p, f.n, dealias).apply(f.modes))
 
 
-def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
-    """int p(u, u_x, ...) dx by exact spectral quadrature (padded products)."""
-    poly = _Monomials(e.integrand if isinstance(e, IntegralExpr) else e)
+def _integral(poly: _Monomials, f: SpectralField) -> float:
+    """int poly(u, u_x, ...) dx by exact spectral quadrature (padded products)."""
     total = poly.const
     if poly.terms:
         band = f.band_limit()
         m = max(_product_grid(poly.degree, band), 4)
         # a linear integrand's grid may stop below its band; only its mean counts
-        mult = poly.multipliers(min(band, m // 2), m)
-        total += float(np.mean(poly.products(f.modes, mult, m)))
+        rows = _d_rows(poly.orders, min(band, m // 2) + 1)
+        total += float(np.mean(poly.products(_samples(f.modes, rows, m))))
     return TAU * total
+
+
+def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
+    """int p(u, u_x, ...) dx by exact spectral quadrature (padded products)."""
+    return _integral(_Monomials(e.integrand if isinstance(e, IntegralExpr) else e), f)
 
 
 def mollify(f: SpectralField, eps: float, m: int = 3) -> SpectralField:
@@ -566,12 +569,8 @@ class _Stepper:
             self.w1 = p1 - 3.0 * p2 + 4.0 * p3
             self.w2 = 2.0 * p2 - 4.0 * p3
             self.w3 = -p2 + 4.0 * p3
-        self._plan = None if flow.nonlinear is None else _PolyPlan(flow.nonlinear, n, dealias)
-
-    def _nl(self, modes: np.ndarray) -> np.ndarray:
-        if self._plan is None:
-            return np.zeros_like(modes)
-        return self._plan.apply(modes)
+        nonlinear = DiffPoly() if flow.nonlinear is None else flow.nonlinear
+        self._nl = _PolyPlan(nonlinear, n, dealias).apply
 
     def advance(self, modes: np.ndarray, t: float) -> np.ndarray:
         h = self.dt
@@ -660,9 +659,7 @@ def solve(
     if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
         raise ValueError("t_final must be an integer number of steps")
     stepper = _Stepper(flow, u0.n, cfg.dt, cfg.dealias, cfg.order)
-    ham_integrands = {
-        m: hierarchy.level(m).hamiltonian for m in cfg.hamiltonians
-    }
+    hams = {m: _Monomials(hierarchy.level(m).hamiltonian.integrand) for m in cfg.hamiltonians}
     diag = Diagnostics(hams={m: [] for m in cfg.hamiltonians})
 
     def record(t: float, f: SpectralField):
@@ -670,8 +667,8 @@ def solve(
         diag.l2.append(sobolev_norm(f, 0.0))
         if cfg.diagnostics_s is not None:
             diag.hs.append(sobolev_norm(f, cfg.diagnostics_s))
-        for m, integrand in ham_integrands.items():
-            diag.hams[m].append(functional_eval(integrand, f))
+        for m, poly in hams.items():
+            diag.hams[m].append(_integral(poly, f))
         if energy is not None:
             diag.energy.append(energy(f))
         if cfg.store_states:

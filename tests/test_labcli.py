@@ -251,6 +251,21 @@ def test_exp_bona_smith_grid_too_small_for_fit_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["mus = 0.01", "mus = 0.01, 0.01", "mus = 0.01, 0", "mus = 0.01, -0.005", "mus = 0.01, nan"],
+)
+def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "m.cfg", line + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["exp", "mu-cauchy", "--config", cfg, "--out", str(out)]) == 2
+    assert not [str(w.message) for w in caught]
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_conservation_zero_data_has_zero_drift():
     r = exp_conservation({"amplitude": 0.0, "n": 64, "t_final": 0.05})
     assert r.verdict

@@ -326,6 +326,65 @@ def test_time_derivative_second_seed():
     assert rel < 1e-6, rel
 
 
+def _directional_energy_rate(bp, s, u, f):
+    """d/dtau E^s(u + tau f) at tau = 0, exactly: no finite differences.
+
+    The quadratic part is <u, f>_{H^s} in mode space.  Each correction is
+    multilinear in its factor slots, so its derivative is the sum over slots
+    with that slot's u replaced by f, each integral sampled on the field's own
+    grid, which must resolve every product.  Returns (rate, quadratic part).
+    """
+    n = u.n
+    k = np.arange(n // 2 + 1, dtype=float)
+    tau = 2.0 * np.pi
+    fac = np.full(k.size, 2.0)
+    fac[0] = 1.0
+    quad = tau * float(np.sum((1.0 + k * k) ** s * fac * np.real(np.conj(u.modes) * f.modes)))
+
+    def sample(modes, order, sigma=0.0):
+        # D^sigma d^order; sigma > 0 here, so k ** sigma sends the mean to 0
+        return np.fft.irfft(modes * k**sigma * (1j * k) ** order * n, n=n)
+
+    def integral(t, slots):
+        bundle = np.ones(n)
+        for q, v in zip(t.inner, slots):
+            bundle = bundle * sample(v, q)
+        if t.a_out:
+            bundle = sample(np.fft.rfft(bundle) / n, t.a_out)
+        vb, vc = slots[len(t.inner):]
+        vals = bundle * sample(vb, t.b, s + t.off) * sample(vc, t.c, s + t.off)
+        return float(t.coeff(s)) * tau * float(np.mean(vals))
+
+    rate = quad
+    for c in bp.corrections:
+        t = c.term
+        assert s + t.off > 0
+        deg = len(t.inner) + 2
+        slots = [[f.modes if j == i else u.modes for j in range(deg)] for i in range(deg)]
+        rate += float(c.gamma(s)) * sum(integral(t, sl) for sl in slots)
+    return rate, quad
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_time_derivative_matches_exact_directional_derivative(blueprints, l):
+    # an oracle that shares no quadrature code with modenergy: dE^s/dt equals
+    # d/dtau E^s(u + tau F) with F the flow's right-hand side.  kmax = 8 puts
+    # F's band at 16, so a degree-d correction with F in one slot reaches
+    # (d + 1) * 8 < n = 128 and every sampled integral is exact.  F comes from
+    # double-precision products: on a steep spectrum (decay s + 2) the roundoff
+    # in its high modes, amplified by |k|^sigma, moves the oracle by up to 3e-5
+    # at l = 5, so the field decays gently.  The corrections can cancel most of
+    # the quadratic part (165x at l = 2 here), so the gate's scale is the
+    # larger of the total and the quadratic part d/dt |u|_{H^s}^2 / 2.
+    bp, s, n, kmax = blueprints[l], 4.0 * l - 4.0, 128, 8
+    assert all((len(c.term.inner) + 3) * kmax < n for c in bp.corrections)
+    u = random_decay_field(n, decay=2.0, seed=100 + l, amplitude=0.5, kmax=kmax)
+    f = rhs_field(model_flow(l), u, dealias=1.0)
+    oracle, quad = _directional_energy_rate(bp, s, u, f)
+    predicted = energy_time_derivative(bp, s, u)
+    assert abs(predicted - oracle) <= 1e-9 * max(abs(oracle), abs(quad)), (predicted, oracle)
+
+
 def test_markers_evaluate_finite():
     bp = build_energy(2)
     u = random_decay_field(64, decay=5.0, seed=3, amplitude=0.2, kmax=16)
@@ -388,8 +447,9 @@ def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
         counts.update(rfft=0, irfft=0)
         energy_time_derivative(blueprints[5], 16, u)
         seen.append(dict(counts))
-    # each distinct factor is transformed once per call, and nothing carries over
-    assert seen[0] == seen[1] == {"rfft": 138, "irfft": 510}
+    # each distinct factor is transformed once per call, the orders one request
+    # misses in one batched irfft, and nothing carries over
+    assert seen[0] == seen[1] == {"rfft": 138, "irfft": 439}
 
 
 def test_energy_evaluation_is_thread_safe(blueprints):

@@ -221,6 +221,19 @@ def test_solve_records_requested_diagnostics():
     assert rows[0]["t"] == 0.0 and abs(rows[-1]["t"] - 0.01) < 1e-12
 
 
+def test_solve_hamiltonians_are_bit_identical_to_functional_eval():
+    # solve compiles each Hamiltonian once per run; the values it records are
+    # exactly those functional_eval gives on the recorded states
+    f = random_decay_field(128, decay=3.0, seed=4, amplitude=0.2)
+    cfg = SolverConfig(
+        n=128, dt=1e-3, t_final=0.01, diagnostics_every=5,
+        hamiltonians=(0, 1, 2, 3), store_states=True,
+    )
+    _, diag = solve(f, hierarchy_flow(2), cfg)
+    for m, values in diag.hams.items():
+        assert values == [functional_eval(level(m).hamiltonian, g) for g in diag.states]
+
+
 def test_zero_data_is_fixed_point():
     cfg = SolverConfig(n=64, dt=1e-3, t_final=0.01, hamiltonians=())
     out, _ = solve(SpectralField.zero(64), model_flow(2), cfg)
