@@ -48,6 +48,7 @@ from .spectral import (
     model_flow,
     random_decay_field,
     regularized_flow,
+    sobolev_norm,
     solve,
 )
 
@@ -88,7 +89,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows, restval: str = "") -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -191,15 +192,13 @@ def _cmd_energy_build(args, argv) -> int:
 
 def _make_ic(cfg: dict) -> SpectralField:
     n = cfg["grid.N"]
-    kind = cfg["ic.kind"]
-    amplitude = _finite("ic.amplitude", cfg["ic.amplitude"])
-    decay = _finite("ic.decay", cfg["ic.decay"])
+    kind, amplitude = cfg["ic.kind"], cfg["ic.amplitude"]
     if kind == "cosine":
         return amplitude * cosine_field(n, cfg["ic.wavenumber"])
     if kind == "random":
         kmax = cfg["ic.kmax"] or None
         return random_decay_field(
-            n, decay=decay, seed=cfg["ic.seed"], amplitude=amplitude, kmax=kmax,
+            n, decay=cfg["ic.decay"], seed=cfg["ic.seed"], amplitude=amplitude, kmax=kmax,
         )
     if kind == "zero":
         return SpectralField.zero(n)
@@ -222,26 +221,30 @@ def _cmd_solve(args, argv) -> int:
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
-    diag_s = _finite("diagnostics.s", cfg["diagnostics.s"]) if cfg["diagnostics.s"] != "" else None
-    energy_fn = None
+    # the optional columns, each a function of the recorded state
+    extra = {}
+    if cfg["diagnostics.s"] != "":
+        hs = _finite("diagnostics.s", cfg["diagnostics.s"])
+        extra["hs"] = lambda f: sobolev_norm(f, hs)
     if cfg["energy.s"] != "":
         es = _finite("energy.s", cfg["energy.s"])
         bp = build_energy(cfg["flow.l"])
-        energy_fn = lambda f: evaluate_energy(bp, es, f)
+        extra["Es"] = lambda f: evaluate_energy(bp, es, f)
+    cols = {c: [] for c in extra}
+
+    def observe(f: SpectralField):
+        for c, fn in extra.items():
+            cols[c].append(fn(f))
 
     sc = SolverConfig(
-        n=cfg["grid.N"],
-        dt=cfg["time.dt"],
-        t_final=cfg["time.T"],
-        dealias=cfg["dealias"],
-        order=cfg["integrator.order"],
-        diagnostics_every=cfg["diagnostics.every"],
-        diagnostics_s=diag_s,
+        n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],
+        order=cfg["integrator.order"], diagnostics_every=cfg["diagnostics.every"],
     )
-    _, diag = solve(u0, flow, sc, energy=energy_fn)
+    _, diag = solve(u0, flow, sc, observe)
+    cols.update(t=diag.times, l2=diag.l2, **{f"H{m}": v for m, v in diag.hams.items()})
 
     out_path = Path(cfg["output.path"])
-    rows = [[r.get(c, "") for c in CSV_COLUMNS] for r in diag.rows()]
+    rows = ([cols[c][i] if c in cols else "" for c in CSV_COLUMNS] for i in range(len(diag.times)))
     _write_csv(out_path, CSV_COLUMNS, rows)
 
     if args.manifest:

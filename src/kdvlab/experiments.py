@@ -80,7 +80,25 @@ def _resolve(defaults: dict, config: dict | None) -> dict:
             cfg[key] = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
         else:
             cfg[key] = type(ref)(val)
+        vals = cfg[key] if isinstance(cfg[key], tuple) else (cfg[key],)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+            raise ValueError(f"config key {key!r} must be finite, got {cfg[key]}")
     return cfg
+
+
+def _solver_config(cfg: dict, **changes) -> SolverConfig:
+    """The solver settings of a resolved experiment config, with changes applied.
+
+    Recording follows the config's cadence (every step without one); an
+    experiment needs t_final > 0, since a run of no steps measures nothing.
+    """
+    if cfg["t_final"] == 0:
+        raise ValueError("t_final must be > 0: a run of no steps measures nothing")
+    fields = dict(
+        n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
+        order=cfg["order"], diagnostics_every=cfg.get("cadence", 1),
+    )
+    return SolverConfig(**{**fields, **changes})
 
 
 def _loglog_slope(xs, ys) -> float:
@@ -116,20 +134,16 @@ def exp_conservation(config: dict | None = None) -> ExperimentResult:
     flow = hierarchy_flow(cfg["l"])
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
 
-    def drifts(dt: float) -> tuple[dict[int, float], list[dict]]:
-        sc = SolverConfig(
-            n=cfg["n"], dt=dt, t_final=cfg["t_final"], dealias=cfg["dealias"],
-            order=cfg["order"], diagnostics_every=cfg["cadence"],
-        )
-        _, diag = solve(u0, flow, sc)
+    def drifts(dt: float):
+        _, diag = solve(u0, flow, _solver_config(cfg, dt=dt))
         out = {}
         for m, series in diag.hams.items():
             num = max(abs(v - series[0]) for v in series)
             ref = abs(series[0])
             out[m] = num / ref if ref > 0 else num
-        return out, diag.rows()
+        return out, diag
 
-    coarse, rows = drifts(cfg["dt"])
+    coarse, diag = drifts(cfg["dt"])
     fine, _ = drifts(cfg["dt"] / 2)
     lo = 2 ** cfg["order"] * (1 - cfg["ratio_band"])
     hi = 2 ** cfg["order"] * (1 + cfg["ratio_band"])
@@ -145,7 +159,7 @@ def exp_conservation(config: dict | None = None) -> ExperimentResult:
             ok_ratio = ok_ratio and lo <= ratios[m] <= hi
 
     header = ["t", "l2", "H0", "H1", "H2"]
-    table = [[r["t"], r["l2"], r["H0"], r["H1"], r["H2"]] for r in rows]
+    table = list(zip(diag.times, diag.l2, *diag.hams.values()))
     metrics = {f"drift_H{m}": v for m, v in sorted(coarse.items())}
     metrics.update({f"ratio_H{m}": v for m, v in sorted(ratios.items())})
     metrics.update({"expected_ratio": 2 ** cfg["order"], "drift_tol": cfg["drift_tol"]})
@@ -182,21 +196,15 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
     """
     cfg = _resolve(MU_CAUCHY_DEFAULTS, config)
     mus = cfg["mus"]
-    if len(set(mus)) < 2 or not all(0.0 < mu < math.inf for mu in mus):
-        raise ValueError(
-            f"mu-cauchy: the rate fit needs at least two distinct positive finite mus, got {mus}"
-        )
+    if len(set(mus)) < 2 or min(mus) <= 0.0:
+        raise ValueError(f"mu-cauchy: the rate fit needs at least two distinct positive mus, got {mus}")
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
-    sc = SolverConfig(
-        n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
-        order=cfg["order"], diagnostics_every=cfg["cadence"], hamiltonians=(),
-        store_states=True,
-    )
+    sc = _solver_config(cfg, hamiltonians=())
     needed = sorted({m for mu in cfg["mus"] for m in (mu, mu / 2)}, reverse=True)
     states: dict[float, list[SpectralField]] = {}
     for mu in needed:
-        _, diag = solve(u0, regularized_flow(cfg["l"], mu), sc)
-        states[mu] = diag.states
+        states[mu] = []
+        solve(u0, regularized_flow(cfg["l"], mu), sc, states[mu].append)
 
     rows = []
     dists = []
@@ -366,27 +374,32 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     """
     cfg = _resolve(ENERGY_DRIFT_DEFAULTS, config)
     l, s = cfg["l"], cfg["s"]
+    k0s = cfg["contrast_k0"]
+    if len(set(k0s)) < 2 or min(k0s) < 1:
+        raise ValueError(
+            f"energy-drift: the contrast ladder needs at least two distinct positive rungs, got {k0s}"
+        )
+    sc = _solver_config(cfg, hamiltonians=())
+    fine_sc = _solver_config(cfg, n=2 * cfg["n"], hamiltonians=())
     bp = build_energy(l)
     flow = model_flow(l)
     u0 = random_decay_field(
         cfg["n"], decay=cfg["decay"], seed=cfg["seed"], amplitude=cfg["amplitude"], kmax=cfg["kmax"]
     )
 
-    def run(n: int, u_start: SpectralField):
-        sc = SolverConfig(
-            n=n, dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
-            order=cfg["order"], diagnostics_every=cfg["cadence"], hamiltonians=(),
-            diagnostics_s=s, store_states=True,
-        )
-        return solve(u_start, flow, sc, energy=lambda f: evaluate_energy(bp, s, f))
+    hs, energy, states = [], [], []
 
-    _, diag = run(cfg["n"], u0)
-    e0 = diag.energy[0]
-    drift = max(abs(e - e0) for e in diag.energy)
+    def observe(f: SpectralField):
+        hs.append(sobolev_norm(f, s))
+        energy.append(evaluate_energy(bp, s, f))
+        states.append(f)
 
-    def empirical_c(states) -> float:
+    _, diag = solve(u0, flow, sc, observe)
+    drift = max(abs(e - energy[0]) for e in energy)
+
+    def empirical_c(sampled) -> float:
         best = 0.0
-        for st in states:
+        for st in sampled:
             nrm = sobolev_norm(st, s)
             if nrm == 0.0:
                 continue
@@ -395,10 +408,11 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
             best = max(best, rate / denom)
         return best
 
-    c_base = empirical_c(diag.states)
+    c_base = empirical_c(states)
     u0_fine = SpectralField(2 * cfg["n"], np.concatenate([u0.modes, np.zeros(cfg["n"] // 2, complex)]))
-    _, diag2 = run(2 * cfg["n"], u0_fine)
-    c_fine = empirical_c(diag2.states)
+    fine_states: list[SpectralField] = []
+    solve(u0_fine, flow, fine_sc, fine_states.append)
+    c_fine = empirical_c(fine_states)
     c_change = abs(c_fine - c_base) / c_base if c_base > 0.0 else 0.0
 
     rows_contrast = []
@@ -447,7 +461,7 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
         "coercivity_delta": delta,
     }
     header = ["t", "l2", "hs", "Es"]
-    series = [[r["t"], r["l2"], r["hs"], r["Es"]] for r in diag.rows()]
+    series = list(zip(diag.times, diag.l2, hs, energy))
     return ExperimentResult(
         "energy-drift",
         bool(ok),
@@ -491,16 +505,11 @@ def exp_scaling(config: dict | None = None) -> ExperimentResult:
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
     fac = lam ** (2 * l + 1)
 
-    base = SolverConfig(
-        n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
-        order=cfg["order"], hamiltonians=(),
-    )
-    ua, _ = solve(u0, flow, base)
+    ua, _ = solve(u0, flow, _solver_config(cfg, hamiltonians=()))
     solved_scaled = scale_field(ua, lam)
 
-    fine = SolverConfig(
-        n=lam * cfg["n"], dt=cfg["dt"] / fac, t_final=cfg["t_final"] / fac,
-        dealias=cfg["dealias"], order=cfg["order"], hamiltonians=(),
+    fine = _solver_config(
+        cfg, n=lam * cfg["n"], dt=cfg["dt"] / fac, t_final=cfg["t_final"] / fac, hamiltonians=(),
     )
     ub, _ = solve(scale_field(u0, lam), flow, fine)
 

@@ -603,9 +603,7 @@ class SolverConfig:
     dealias: float = 2.0 / 3.0
     order: int = 4
     diagnostics_every: int = 1
-    diagnostics_s: float | None = None
     hamiltonians: tuple[int, ...] = (0, 1, 2)
-    store_states: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -626,21 +624,7 @@ class SolverConfig:
 class Diagnostics:
     times: list[float] = dc_field(default_factory=list)
     l2: list[float] = dc_field(default_factory=list)
-    hs: list[float] = dc_field(default_factory=list)
     hams: dict[int, list[float]] = dc_field(default_factory=dict)
-    energy: list[float] = dc_field(default_factory=list)
-    states: list[SpectralField] = dc_field(default_factory=list)
-
-    def rows(self) -> list[dict]:
-        out = []
-        for i, t in enumerate(self.times):
-            row = {"t": t, "l2": self.l2[i]}
-            row["hs"] = self.hs[i] if self.hs else ""
-            for m in sorted(self.hams):
-                row[f"H{m}"] = self.hams[m][i]
-            row["Es"] = self.energy[i] if self.energy else ""
-            out.append(row)
-        return out
 
 
 def step(state: SpectralField, flow: FlowSpec, cfg: SolverConfig, t: float = 0.0) -> SpectralField:
@@ -652,9 +636,14 @@ def solve(
     u0: SpectralField,
     flow: FlowSpec,
     cfg: SolverConfig,
-    energy: Callable[[SpectralField], float] | None = None,
+    observe: Callable[[SpectralField], object] | None = None,
 ) -> tuple[SpectralField, Diagnostics]:
-    """March to t_final recording norms, Hamiltonian values, and E^s."""
+    """March to t_final recording the L^2 norm and Hamiltonian values.
+
+    A state is recorded at t = 0, every diagnostics_every steps and at
+    t_final; observe, if given, is called once with each recorded state,
+    after its norm and Hamiltonians are stored.
+    """
     n_steps = int(round(cfg.t_final / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
         raise ValueError("t_final must be an integer number of steps")
@@ -665,22 +654,15 @@ def solve(
     def record(t: float, f: SpectralField):
         diag.times.append(t)
         diag.l2.append(sobolev_norm(f, 0.0))
-        if cfg.diagnostics_s is not None:
-            diag.hs.append(sobolev_norm(f, cfg.diagnostics_s))
         for m, poly in hams.items():
             diag.hams[m].append(_integral(poly, f))
-        if energy is not None:
-            diag.energy.append(energy(f))
-        if cfg.store_states:
-            diag.states.append(f)
+        if observe is not None:
+            observe(f)
 
     modes = u0.modes.copy() * stepper.mask
-    f = SpectralField(u0.n, modes)
-    record(0.0, f)
+    record(0.0, SpectralField(u0.n, modes))
     for i in range(n_steps):
-        t = i * cfg.dt
-        modes = stepper.advance(modes, t)
+        modes = stepper.advance(modes, i * cfg.dt)
         if (i + 1) % cfg.diagnostics_every == 0 or i + 1 == n_steps:
-            f = SpectralField(u0.n, modes)
-            record((i + 1) * cfg.dt, f)
+            record((i + 1) * cfg.dt, SpectralField(u0.n, modes))
     return SpectralField(u0.n, modes), diag

@@ -202,6 +202,14 @@ def test_solve_zero_ic(tmp_path):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+def test_solve_zero_time_writes_the_initial_row(tmp_path):
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + "time.T = 0\n")
+    assert main(["solve", "--config", cfg]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.0,")
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -253,7 +261,14 @@ def test_exp_bona_smith_grid_too_small_for_fit_exits_2(tmp_path, capsys, line):
 
 @pytest.mark.parametrize(
     "line",
-    ["mus = 0.01", "mus = 0.01, 0.01", "mus = 0.01, 0", "mus = 0.01, -0.005", "mus = 0.01, nan"],
+    [
+        "mus = 0.01",
+        "mus = 0.01, 0.01",
+        "mus = 0.01, 0",
+        "mus = 0.01, -0.005",
+        "mus = 0.01, nan",
+        "mus = 0.01, inf",
+    ],
 )
 def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
     cfg = _write(tmp_path, "m.cfg", line + "\n")
@@ -261,6 +276,35 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["exp", "mu-cauchy", "--config", cfg, "--out", str(out)]) == 2
+    assert not [str(w.message) for w in caught]
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, line",
+    [
+        ("energy-drift", "s = inf"),
+        ("bona-smith", "s = nan"),
+        ("bona-smith", "s = inf"),
+        ("conservation", "t_final = 0"),
+        ("mu-cauchy", "t_final = 0"),
+        ("energy-drift", "t_final = 0"),
+        ("scaling", "t_final = 0"),
+        ("energy-drift", "contrast_k0 = 8"),
+        ("energy-drift", "contrast_k0 = 8, 8"),
+    ],
+)
+def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, name, line):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bad input reached the solver")
+
+    monkeypatch.setattr("kdvlab.experiments.solve", no_solve)
+    cfg = _write(tmp_path, "e.cfg", line + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["exp", name, "--config", cfg, "--out", str(out)]) == 2
     assert not [str(w.message) for w in caught]
     assert _one_error_line(capsys)
     assert not out.exists()
