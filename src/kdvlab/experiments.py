@@ -263,6 +263,8 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     eps = cfg["eps"]
     if len(eps) < 2 or min(eps) <= 0:
         raise ValueError(f"bona-smith: the rate fits need at least two positive eps, got {eps}")
+    if min(cfg["nus"]) <= 0:
+        raise ValueError(f"bona-smith: the growth gate needs every nu > 0, got {cfg['nus']}")
     # the rates are read off frequencies near 1/eps, so the band must reach them
     band, finest = cfg["n"] // 2 - 1, 1.0 / min(eps)
     if band < finest:
@@ -379,6 +381,12 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
         raise ValueError(
             f"energy-drift: the contrast ladder needs at least two distinct positive rungs, got {k0s}"
         )
+    amp_lo, amp_hi, amps = (cfg[f"coercivity_{key}"] for key in ("amp_lo", "amp_hi", "amplitudes"))
+    if min(amp_lo, amp_hi) <= 0 or amps < 1:
+        raise ValueError(
+            "energy-drift: the coercivity scan needs positive amplitudes and at least one of them, got "
+            f"coercivity_amp_lo = {amp_lo}, coercivity_amp_hi = {amp_hi}, coercivity_amplitudes = {amps}"
+        )
     sc = _solver_config(cfg, hamiltonians=())
     fine_sc = _solver_config(cfg, n=2 * cfg["n"], hamiltonians=())
     bp = build_energy(l)
@@ -432,8 +440,7 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     rows_coer = []
     delta = 0.0
     window_open = True
-    amps = np.geomspace(cfg["coercivity_amp_lo"], cfg["coercivity_amp_hi"], cfg["coercivity_amplitudes"])
-    for amp in amps:
+    for amp in np.geomspace(amp_lo, amp_hi, amps):
         u = float(amp) * profile
         e = evaluate_energy(bp, s, u)
         half = 0.5 * sobolev_norm(u, s) ** 2

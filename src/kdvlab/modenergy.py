@@ -37,19 +37,10 @@ from fractions import Fraction
 from math import comb
 from typing import ClassVar
 
-import numpy as np
-
 from .diffpoly import DiffMonomial, DiffPoly, split_exact
+from .energyplan import _EnergyPlan
 from .ibpcalc import alpha_coeffs
-from .spectral import (
-    TAU,
-    SpectralField,
-    _d_weights,
-    _FieldQuad,
-    _product_grid,
-    _samples,
-    sobolev_norm,
-)
+from .spectral import SpectralField, sobolev_norm
 from .spoly import SPoly, binom_s
 
 __all__ = [
@@ -99,8 +90,17 @@ def regularity_threshold(l: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+class _Integral:
+    """A term or marker: coeff(s) times an integral of the field."""
+
+    __slots__ = ()
+
+    def evaluate(self, fieldval: SpectralField, s: float) -> float:
+        return _EnergyPlan((self,), float(s), fieldval.band_limit()).apply(fieldval)[0]
+
+
 @dataclass(frozen=True)
-class PTerm:
+class PTerm(_Integral):
     """coeff(s) * int d^a_out(prod_i d^{q_i}u) . D^{s+off}d^b u . D^{s+off}d^c u.
 
     inner lists the plain derivative orders q_i inside the bundle, sorted
@@ -134,13 +134,6 @@ class PTerm:
     def bucket(self) -> tuple[int, tuple[int, ...], int]:
         return (self.a_out, self.inner, self.b)
 
-    def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return _values([self], float(s), fieldval)[0]
-
-    def _integrand(self, quad: _FieldQuad, s: float, m: int) -> np.ndarray:
-        db, dc = quad.values((self.b, self.c), m, s + self.off)
-        return quad.bundle(self.a_out, self.inner, m) * db * dc
-
     def to_obj(self) -> dict:
         return {
             "coeff": self.coeff.to_obj(),
@@ -172,30 +165,19 @@ def pterm(coeff, a_out: int, inner, off: int, b: int, c: int) -> PTerm:
 
 
 @dataclass(frozen=True)
-class NormGapTerm:
+class NormGapTerm(_Integral):
     """coeff(s) * int u d^{2l-1}u ((J^{2s} - D^{2s})u): the J-vs-D norm gap."""
 
     coeff: SPoly
     l: int
-    inner: ClassVar[tuple[int, ...]] = ()  # no bundle
     degree: ClassVar[int] = 3
-
-    def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return _values([self], float(s), fieldval)[0]
-
-    def _integrand(self, quad: _FieldQuad, s: float, m: int) -> np.ndarray:
-        k = np.arange(quad.modes.size, dtype=float)
-        gap = (1.0 + k * k) ** s - k ** (2.0 * s)
-        u, du = quad.values((0, 2 * self.l - 1), m)
-        (g,) = _samples(quad.modes, gap[None], m)
-        return u * du * g
 
     def to_obj(self) -> dict:
         return {"kind": "norm_gap", "coeff": self.coeff.to_obj(), "l": self.l}
 
 
 @dataclass(frozen=True)
-class CommutatorTail:
+class CommutatorTail(_Integral):
     """Tail of the para-Leibniz expansion, paired with its bundle context.
 
     Represents coeff(s) * int d^{a_out}(prod(inner)) . tail . D^{s+off}d^{other_b}u
@@ -215,25 +197,6 @@ class CommutatorTail:
     @property
     def degree(self) -> int:
         return len(self.inner) + 4
-
-    def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return _values([self], float(s), fieldval)[0]
-
-    def _integrand(self, quad: _FieldQuad, s: float, m: int) -> np.ndarray:
-        sigma = s + self.off
-        dsig = _d_weights(np.arange(m // 2 + 1, dtype=float), sigma)
-
-        f, g = quad.values((self.rho, self.m_high), m)
-        (tail,) = _samples(np.fft.rfft(f * g) / m, dsig[None], m)
-        terms = range(self.i_max + 1)
-        lows = quad.values([self.rho + i for i in terms], m)
-        highs = quad.values([self.m_high - i for i in terms], m, sigma)
-        for i, low, high in zip(terms, lows, highs):
-            w = float(binom_s(self.off, i)(s))
-            tail = tail - w * low * high
-
-        vals = quad.bundle(self.a_out, self.inner, m) * tail
-        return vals * quad.values((self.other_b,), m, sigma)[0]
 
     def to_obj(self) -> dict:
         return {
@@ -515,6 +478,7 @@ class EnergyBlueprint:
     markers: list = field(default_factory=list)
     stages: list[StageReport] = field(default_factory=list)
     pending: list[PTerm] = field(default_factory=list)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gammas(self) -> list[SPoly]:
         return [c.gamma for c in self.corrections]
@@ -685,32 +649,29 @@ def _check_threshold(l: int, s) -> None:
         raise ThresholdViolation(f"need s > {thr} for l = {l}, got {s}")
 
 
-def _values(items: list, s: float, fieldval: SpectralField) -> list[float]:
-    """Each term's or marker's value, in item order, from one shared quadrature.
+_PLANS_KEPT = 8  # plans cached per blueprint, keyed (E or dE/dt, s, band)
 
-    An item of degree d is integrated on the grid _product_grid(d, band),
-    where the mean of its integrand's samples is exact.  Items are evaluated
-    sorted by (grid, bundle inner), so each factor is transformed once and
-    each bundle's plain product formed once, and both are dropped when their
-    grid or group ends.
+
+def _plan(bp: EnergyBlueprint, kind: str, items: tuple, s: float, band: int) -> _EnergyPlan:
+    """bp's plan for items, built on first use and kept while bp lists the same items.
+
+    Threads that miss together each build a plan and use their own; the cache
+    keeps one of them.  It holds a few plans, so a scan over s stays small.
     """
-    quad = _FieldQuad(fieldval)
-    grids = [_product_grid(item.degree, quad.band) for item in items]
-    out = [0.0] * len(items)
-    for i in sorted(range(len(items)), key=lambda i: (grids[i], items[i].inner)):
-        vals = items[i]._integrand(quad, s, grids[i])
-        out[i] = float(items[i].coeff(s)) * TAU * float(vals.mean())
-    return out
+    plan = bp._plans.get((kind, s, band))
+    if plan is None or plan.items != items:
+        if len(bp._plans) >= _PLANS_KEPT:
+            bp._plans.clear()
+        plan = bp._plans[(kind, s, band)] = _EnergyPlan(items, s, band)
+    return plan
 
 
 def evaluate_energy(bp: EnergyBlueprint, s, fieldval: SpectralField) -> float:
     """E^s(u) = 1/2 |u|_{H^s}^2 + sum gamma(s) * correction integrals."""
     _check_threshold(bp.l, s)
     sf = float(s)
-    total = 0.5 * sobolev_norm(fieldval, sf) ** 2
-    for c, value in zip(bp.corrections, _values([c.term for c in bp.corrections], sf, fieldval)):
-        total += float(c.gamma(sf)) * value
-    return total
+    plan = _plan(bp, "E", tuple(bp.corrections), sf, fieldval.band_limit())
+    return plan.total(fieldval, 0.5 * sobolev_norm(fieldval, sf) ** 2)
 
 
 def energy_time_derivative(bp: EnergyBlueprint, s, fieldval: SpectralField) -> float:
@@ -721,9 +682,5 @@ def energy_time_derivative(bp: EnergyBlueprint, s, fieldval: SpectralField) -> f
     input (included for honesty; empty when the construction succeeded).
     """
     _check_threshold(bp.l, s)
-    items = bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending
-    total = 0.0
-    # summed one by one in blueprint order; the terms cancel to many digits
-    for value in _values(items, float(s), fieldval):
-        total += value
-    return total
+    items = tuple(bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending)
+    return _plan(bp, "dE", items, float(s), fieldval.band_limit()).total(fieldval, 0.0)

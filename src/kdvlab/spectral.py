@@ -174,12 +174,13 @@ def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     Every padded spectrum-to-grid transform goes through here, in one order of
     operations: (modes[:take] * w[:take]) * m, take = min(len(w), m//2 + 1),
     goes to one batched irfft, which zero-pads it to m//2 + 1 modes.  The
-    energy's bits depend on that order.  The caller guarantees every nonzero
-    mode index fits below m//2, so trimming or padding the stored
-    half-spectrum loses nothing.
+    energy's bits depend on that order; a batch gives each row the bits of a
+    transform of its own.  modes is one spectrum, or one per row of weights.
+    The caller guarantees every nonzero mode index fits below m//2, so
+    trimming or padding the stored half-spectrum loses nothing.
     """
     take = min(weights.shape[1], m // 2 + 1)
-    return np.fft.irfft(modes[:take] * weights[:, :take] * m, n=m)
+    return np.fft.irfft(modes[..., :take] * weights[:, :take] * m, n=m)
 
 
 def _d_rows(orders: Sequence[int], take: int) -> np.ndarray:
@@ -202,81 +203,6 @@ def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
         return np.ones_like(k)
     np.power(k, sigma, out=w, where=k > 0)
     return w
-
-
-class _FieldQuad:
-    """Padded-grid factors of one field, shared by the terms of one evaluation.
-
-    Built per call and dropped with it.  It keeps the D^sigma modes per sigma,
-    the (ik)^q rows per (orders, length), the samples of d^q u and d^q D^sigma u
-    per (sigma or plain, q) on one grid m at a time, and the plain product of
-    one bundle group (inner, m) at a time, with its spectrum once an outer
-    derivative asks for it.  Terms evaluated sorted by (m, inner) transform
-    each factor and form each product once.  Every sample comes from _samples,
-    row by row the same bits as a transform of its own, so sharing changes no
-    bit; shared arrays are read-only.
-    """
-
-    def __init__(self, f: SpectralField):
-        self.modes = f.modes
-        self.band = f.band_limit()
-        self._dmodes: dict[float, np.ndarray] = {}
-        self._rows: dict[tuple, np.ndarray] = {}
-        self._grid = 0
-        self._vals: dict[tuple, np.ndarray] = {}
-        self._group: list | None = None
-
-    def d_modes(self, sigma: float) -> np.ndarray:
-        """Modes of D^sigma u."""
-        dm = self._dmodes.get(sigma)
-        if dm is None:
-            dm = self.modes * _d_weights(np.arange(self.modes.size, dtype=float), sigma)
-            self._dmodes[sigma] = dm
-        return dm
-
-    def d_rows(self, orders: tuple[int, ...], take: int) -> np.ndarray:
-        """_d_rows(orders, take), once per evaluation: the power costs more than
-        a small transform."""
-        rows = self._rows.get((orders, take))
-        if rows is None:
-            rows = self._rows[(orders, take)] = _d_rows(orders, take)
-        return rows
-
-    def values(self, orders: Sequence[int], m: int, sigma: float | None = None) -> list[np.ndarray]:
-        """Samples of d^q u (sigma None) or d^q D^sigma u on the m-grid, q in orders.
-
-        The orders not yet sampled on this grid are transformed in one call.
-        """
-        if m != self._grid:
-            self._grid, self._vals = m, {}
-        missing = [q for q in dict.fromkeys(orders) if (sigma, q) not in self._vals]
-        if missing:
-            modes = self.modes if sigma is None else self.d_modes(sigma)
-            rows = _samples(modes, self.d_rows(tuple(missing), min(modes.size, m // 2 + 1)), m)
-            rows.setflags(write=False)
-            for q, v in zip(missing, rows):
-                self._vals[(sigma, q)] = v
-        return [self._vals[(sigma, q)] for q in orders]
-
-    def bundle(self, a_out: int, inner: tuple[int, ...], m: int) -> np.ndarray:
-        """Samples of d^{a_out}(prod_q d^q u) on the m-grid (1 for an empty bundle).
-
-        A new (inner, m) group replaces the previous one.
-        """
-        if not inner:
-            return np.zeros(m) if a_out else np.ones(m)
-        group = self._group
-        if group is None or group[0] != (inner, m):
-            prod = np.ones(m)
-            for v in self.values(inner, m):
-                prod = prod * v
-            prod.setflags(write=False)
-            group = self._group = [(inner, m), prod, None]
-        if not a_out:
-            return group[1]
-        if group[2] is None:
-            group[2] = np.fft.rfft(group[1]) / m
-        return _samples(group[2], self.d_rows((a_out,), m // 2 + 1), m)[0]
 
 
 def _fast_size(m: int) -> int:

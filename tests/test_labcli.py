@@ -293,6 +293,11 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("scaling", "t_final = 0"),
         ("energy-drift", "contrast_k0 = 8"),
         ("energy-drift", "contrast_k0 = 8, 8"),
+        ("bona-smith", "nus = 0"),
+        ("bona-smith", "nus = 0.5, -1"),
+        ("energy-drift", "coercivity_amplitudes = 0"),
+        ("energy-drift", "coercivity_amp_lo = 0"),
+        ("energy-drift", "coercivity_amp_hi = -1"),
     ],
 )
 def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, name, line):

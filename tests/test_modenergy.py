@@ -9,6 +9,7 @@ the symbolic time-derivative decomposition is an identity on real fields.
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -411,21 +412,49 @@ def _fields(n, s):
     ]
 
 
+def _term_by_term(bp, s, u):
+    """dE^s/dt and E^s summed item by item, each item evaluated on its own."""
+    rate = 0.0
+    for item in bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending:
+        rate += item.evaluate(u, s)
+    energy = 0.5 * sobolev_norm(u, s) ** 2
+    for c in bp.corrections:
+        energy += float(c.gamma(s)) * c.term.evaluate(u, s)
+    return rate, energy
+
+
 @pytest.mark.parametrize("n", [128, 512])
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_shared_quadrature_is_bit_identical_to_term_by_term(blueprints, l, n):
     bp = blueprints[l]
     s = 4.0 * l - 4.0
-    for u in _fields(n, s):
-        total = 0.0
-        for item in bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending:
-            total += item.evaluate(u, s)
-        assert energy_time_derivative(bp, s, u) == total
+    fields = _fields(n, s)
+    if n == 128:
+        # full band: the products reach the most modes of the padded grids
+        fields.append(random_decay_field(n, decay=1.5, seed=43, amplitude=0.1, kmax=n // 2 - 1))
+    for u in fields:
+        assert (energy_time_derivative(bp, s, u), evaluate_energy(bp, s, u)) == _term_by_term(bp, s, u)
 
-        energy = 0.5 * sobolev_norm(u, s) ** 2
-        for c in bp.corrections:
-            energy += float(c.gamma(s)) * c.term.evaluate(u, s)
-        assert evaluate_energy(bp, s, u) == energy
+
+def test_plan_cache_keys_on_s_and_band(blueprints):
+    # one blueprint, two values of s and two bands, visited twice in turn:
+    # every cached plan gives the sums of the items evaluated on their own
+    bp = blueprints[3]
+    for _ in range(2):
+        for s in (8.0, 9.5):
+            for kmax in (20, 42):
+                u = random_decay_field(128, decay=5.0, seed=kmax, amplitude=0.1, kmax=kmax)
+                assert (energy_time_derivative(bp, s, u), evaluate_energy(bp, s, u)) == _term_by_term(bp, s, u)
+
+
+def test_plan_cache_follows_blueprint_edits():
+    bp, s = build_energy(2), 4.0
+    u = _fields(128, s)[1]
+    before = energy_time_derivative(bp, s, u)
+    bp.markers.append(pterm(S, 2, (0, 1), -2, 1, 2))
+    after, _ = _term_by_term(bp, s, u)
+    assert after != before
+    assert energy_time_derivative(bp, s, u) == after
 
 
 def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
@@ -441,32 +470,36 @@ def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
     monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
-    u = _fields(128, 16.0)[1]
+    # a copy with an empty plan cache: the first call builds the plan
+    bp = replace(blueprints[5])
     seen = []
-    for _ in range(2):
+    for u in (_fields(128, 16.0) * 2)[1:]:
         counts.update(rfft=0, irfft=0)
-        energy_time_derivative(blueprints[5], 16, u)
+        energy_time_derivative(bp, 16, u)
         seen.append(dict(counts))
-    # each distinct factor is transformed once per call, the orders one request
-    # misses in one batched irfft, and nothing carries over
-    assert seen[0] == seen[1] == {"rfft": 138, "irfft": 439}
+    # per grid: one irfft per sigma for the factors and one for the norm gap,
+    # one rfft and one irfft for the tail cores and for each block of bundles;
+    # building the plan (first call) adds none, and both fields of the layer
+    # share one plan
+    assert seen[0] == seen[1] == seen[2] == {"rfft": 22, "irfft": 45}
 
 
 def test_energy_evaluation_is_thread_safe(blueprints):
-    bp, s = blueprints[4], 12.0
+    # the threads share a fresh blueprint, so they race to fill its plan cache
+    bp, s = build_energy(4), 12.0
     fields = [
         random_decay_field(128, decay=5.0, seed=seed, amplitude=0.1, kmax=42) for seed in range(4)
     ]
 
-    def both(u):
-        return energy_time_derivative(bp, s, u), evaluate_energy(bp, s, u)
+    def both(b, u):
+        return energy_time_derivative(b, s, u), evaluate_energy(b, s, u)
 
-    serial = [both(u) for u in fields]
+    serial = [both(blueprints[4], u) for u in fields]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(4) as pool:
-            threaded = list(pool.map(both, fields))
+            threaded = list(pool.map(lambda u: both(bp, u), fields))
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
