@@ -164,11 +164,7 @@ def _cmd_ibp_alpha(args, argv) -> int:
     if args.l < 1:
         raise ValueError(f"--l must be at least 1, got {args.l}")
     table = alpha_coeffs(args.l)
-    obj = {
-        "l": args.l,
-        "alphas": [str(a) for a in table.alphas],
-        "diagonal": str(table.diagonal),
-    }
+    obj = {**table.to_obj(), "diagonal": str(table.diagonal)}
     verified = None
     if args.verify:
         verified = bool(verify_identity(args.l))

@@ -79,9 +79,6 @@ class DiffMonomial:
     def weight(self) -> int:
         return sum(k for _, k in self.factors)
 
-    def key(self) -> tuple:
-        return (self.degree, self.weight, self.factors)
-
     def __repr__(self):
         if not self.factors:
             return f"({self.coeff})"
@@ -128,16 +125,6 @@ class DiffPoly:
 
     def symbols(self) -> tuple[str, ...]:
         return tuple(sorted({s for m in self._terms for s, _ in m.factors}))
-
-    def max_order(self) -> int:
-        return max((k for m in self._terms for _, k in m.factors), default=0)
-
-    def coefficient(self, factors: Sequence[Factor]) -> Fraction:
-        want = tuple(sorted(factors))
-        for m in self._terms:
-            if m.factors == want:
-                return m.coeff
-        return Fraction(0)
 
     def map_coeff(self, fn) -> "DiffPoly":
         return DiffPoly(DiffMonomial(fn(m.coeff), m.factors) for m in self._terms)
@@ -248,9 +235,6 @@ def is_exact(p: DiffPoly) -> bool:
     return all(euler_operator(p, s).is_zero() for s in p.symbols())
 
 
-_EMPTY = DiffPoly.zero()
-
-
 def _peel_mono_key(fac: tuple[Factor, ...]):
     """Block order: symbols ascending, derivative orders descending per block.
 
@@ -355,20 +339,6 @@ class IntegralExpr:
 
     def __hash__(self):
         return hash(self.canonical)
-
-    def __add__(self, other: "IntegralExpr") -> "IntegralExpr":
-        return IntegralExpr(self.integrand + other.integrand)
-
-    def __sub__(self, other: "IntegralExpr") -> "IntegralExpr":
-        return IntegralExpr(self.integrand - other.integrand)
-
-    def __mul__(self, c) -> "IntegralExpr":
-        return IntegralExpr(self.integrand * c)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.canonical.is_zero()
 
     def __repr__(self):
         return f"Int[{self.canonical!r}]"

@@ -76,8 +76,6 @@ def _resolve(defaults: dict, config: dict | None) -> dict:
             cfg[key] = tuple(type(ref[0])(v) for v in vals)
         elif isinstance(val, (tuple, list)):
             raise ValueError(f"config key {key!r} takes one value, got {len(val)}")
-        elif isinstance(ref, bool):
-            cfg[key] = val if isinstance(val, bool) else str(val).lower() in ("1", "true", "yes")
         else:
             cfg[key] = type(ref)(val)
         vals = cfg[key] if isinstance(cfg[key], tuple) else (cfg[key],)
@@ -280,6 +278,11 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     lowcut = phi.modes.copy()
     lowcut[: cfg["kmin"]] = 0.0
     phi = SpectralField(cfg["n"], lowcut)
+    if not (0 <= cfg["kmin"] < cfg["n"] // 2 and np.any(phi.modes)):
+        raise ValueError(
+            f"bona-smith: the rate fits need 0 <= kmin < n/2 and a field that is nonzero above kmin, "
+            f"got amplitude = {cfg['amplitude']}, kmin = {cfg['kmin']}, n = {cfg['n']}"
+        )
     molls = {e: mollify(phi, e, cfg["moll_order"]) for e in cfg["eps"]}
 
     rows_g, rows_c = [], []
@@ -521,7 +524,9 @@ def exp_scaling(config: dict | None = None) -> ExperimentResult:
     ub, _ = solve(scale_field(u0, lam), flow, fine)
 
     va, vb = solved_scaled.values(), ub.values()
-    err = float(np.max(np.abs(va - vb)) / np.max(np.abs(vb)))
+    num, ref = float(np.max(np.abs(va - vb))), float(np.max(np.abs(vb)))
+    # zero data is a fixed point of both runs: its error is the absolute one, 0
+    err = num / ref if ref > 0 else num
     ok = err < cfg["tol"]
     metrics = {"max_rel_grid_error": err, "tol": cfg["tol"], "scaled_T": cfg["t_final"] / fac}
     return ExperimentResult("scaling", ok, metrics, {}, cfg)

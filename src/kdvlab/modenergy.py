@@ -127,10 +127,6 @@ class PTerm(_Integral):
     def is_resonant(self) -> bool:
         return self.is_square and self.off == 0 and self.b >= 1
 
-    @property
-    def is_bounded(self) -> bool:
-        return self.is_square and (self.off < 0 or (self.off == 0 and self.b == 0))
-
     def bucket(self) -> tuple[int, tuple[int, ...], int]:
         return (self.a_out, self.inner, self.b)
 
@@ -172,9 +168,6 @@ class NormGapTerm(_Integral):
     l: int
     degree: ClassVar[int] = 3
 
-    def to_obj(self) -> dict:
-        return {"kind": "norm_gap", "coeff": self.coeff.to_obj(), "l": self.l}
-
 
 @dataclass(frozen=True)
 class CommutatorTail(_Integral):
@@ -197,19 +190,6 @@ class CommutatorTail(_Integral):
     @property
     def degree(self) -> int:
         return len(self.inner) + 4
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": "commutator_tail",
-            "coeff": self.coeff.to_obj(),
-            "a_out": self.a_out,
-            "inner": list(self.inner),
-            "off": self.off,
-            "rho": self.rho,
-            "m_high": self.m_high,
-            "i_max": self.i_max,
-            "other_b": self.other_b,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +283,19 @@ def reduce_triple(t: PTerm) -> list[PTerm]:
 def quadratic_derivative(l: int) -> tuple[list, list[PTerm]]:
     """Main terms of d/dt (1/2 |u|_{H^s}^2): (bounded-with-markers, resonant).
 
-    The linear flow contributes nothing (odd operator).  The nonlinear part
-    splits into the J/D norm-gap marker, the para-Leibniz main terms with
-    weights C(s, j), and the commutator tail marker; the main-term triples are
-    reduced to squares and classified.  Resonant output carries the beta
-    weights as polynomials in s.
+    The linear flow contributes nothing (odd operator).  Since J^{2s} =
+    D^{2s} + (J^{2s} - D^{2s}), the nonlinear part is the J/D norm-gap marker
+    plus the correction expansion (_expand_nonlinear) applied to
+    1/2 int (D^s u)^2: para-Leibniz pairs with weights C(s, j) and one
+    commutator tail marker.  The pairs are reduced to squares and classified.
+    Resonant output carries the beta weights as polynomials in s.
     """
     if l < 2:
         raise ValueError("model flow requires l >= 2")
-    bounded: list = [
-        NormGapTerm(_ONE, l),
-        CommutatorTail(_ONE, 0, (), 0, 0, 2 * l - 1, 2 * l - 2, 0),
-    ]
-    squares: list[PTerm] = []
-    for j in range(0, 2 * l - 1):
-        squares.extend(reduce_triple(pterm(binom_s(0, j), j, (0,), 0, 0, 2 * l - 1 - j)))
+    pairs, _, tails = _expand_nonlinear(PTerm(_ONE / 2, 0, (), 0, 0, 0), l)
+    bounded: list = [NormGapTerm(_ONE, l), *tails]
     resonant: list[PTerm] = []
-    for term in _merge(squares):
+    for term in _merge(square for pair in pairs for square in _reduce_pair(pair)):
         (resonant if term.is_resonant else bounded).append(term)
     return bounded, resonant
 

@@ -124,13 +124,12 @@ def grid(n: int) -> np.ndarray:
 
 
 def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralField:
-    """Fourier multiplier: kind in {"D", "J", "d", "P_low", "P_high"}.
+    """Fourier multiplier: kind in {"D", "J", "d"}.
 
     D: |k|^sigma with the k=0 mode sent to 0 unless sigma = 0 (negative
     powers of |k| act only away from the mean; the convention is inert
     because every use here is on mean-free quantities). J: (1+k^2)^(sigma/2).
-    d: (ik)^m, m = sigma a nonnegative integer. P_low keeps the mean,
-    P_high its complement.
+    d: (ik)^m, m = sigma a nonnegative integer.
     """
     k = f.wavenumbers()
     if kind == "D":
@@ -142,12 +141,6 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
         if m < 0 or m != sigma:
             raise ValueError("derivative order must be a nonnegative integer")
         w = (1j * k) ** m
-    elif kind == "P_low":
-        w = np.zeros_like(k, dtype=np.complex128)
-        w[0] = 1.0
-    elif kind == "P_high":
-        w = np.ones_like(k, dtype=np.complex128)
-        w[0] = 0.0
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     return f.with_modes(f.modes * w)
@@ -457,16 +450,14 @@ def _phi(j: int, z: np.ndarray) -> np.ndarray:
     out[small] = acc
     zb = z[~small]
     ez = np.exp(zb)
-    if j == 0:
-        val = ez
-    elif j == 1:
+    if j == 1:
         val = (ez - 1.0) / zb
     elif j == 2:
         val = (ez - 1.0 - zb) / zb**2
     elif j == 3:
         val = (ez - 1.0 - zb - zb**2 / 2.0) / zb**3
     else:
-        raise ValueError("phi_j implemented for j <= 3")
+        raise ValueError("phi_j implemented for j = 1, 2, 3")
     out[~small] = val
     return out
 
@@ -477,11 +468,11 @@ class _Stepper:
     def __init__(self, flow: FlowSpec, n: int, dt: float, dealias: float, order: int):
         self.dt = dt
         self.order = order
-        cut = int(dealias * (n // 2))
-        mask = np.zeros(n // 2 + 1)
-        mask[: cut + 1] = 1.0
-        mask[-1] = 0.0
-        self.mask = mask
+        nonlinear = _PolyPlan(DiffPoly() if flow.nonlinear is None else flow.nonlinear, n, dealias)
+        self._nl = nonlinear.apply
+        # the kept band is the plan's: |k| <= take, below the Nyquist mode
+        self.mask = np.zeros(n // 2 + 1)
+        self.mask[: nonlinear.take + 1] = 1.0
         lin = flow.linear_on(n)
         z = dt * lin
         self.e_full = np.exp(z)
@@ -495,9 +486,9 @@ class _Stepper:
             self.w1 = p1 - 3.0 * p2 + 4.0 * p3
             self.w2 = 2.0 * p2 - 4.0 * p3
             self.w3 = -p2 + 4.0 * p3
-        nonlinear = DiffPoly() if flow.nonlinear is None else flow.nonlinear
-        self._nl = _PolyPlan(nonlinear, n, dealias).apply
 
+    # an overflowing step is reported once, by its BlowUp, not also by NumPy
+    @np.errstate(over="ignore", invalid="ignore")
     def advance(self, modes: np.ndarray, t: float) -> np.ndarray:
         h = self.dt
         u = modes * self.mask

@@ -21,6 +21,15 @@ from kdvlab.experiments import (
     run_experiment,
 )
 from kdvlab.modenergy import SingularSystem
+from kdvlab.spectral import (
+    SolverConfig,
+    cosine_field,
+    hierarchy_flow,
+    model_flow,
+    random_decay_field,
+    regularized_flow,
+    solve,
+)
 
 SOLVE_CFG = """
 # short model run
@@ -83,6 +92,15 @@ def test_hierarchy_gen_json(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["l"] == 2
     assert obj["monomials"] == 4
+
+
+def test_hierarchy_gen_text(capsys):
+    assert main(["hierarchy", "gen", "--l", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "G_1 = (1)*u_2 + (1/2)*u*u",
+        "rhs_1 = (1)*u_3 + (1)*u*u_1",
+        "H_1 = integral of (-1/2)*u_1*u_1 + (1/6)*u*u*u",
+    ]
 
 
 def test_hierarchy_gen_latex(tmp_path, capsys):
@@ -210,6 +228,48 @@ def test_solve_zero_time_writes_the_initial_row(tmp_path):
     assert len(lines) == 2 and lines[1].startswith("0.0,")
 
 
+def _csv_columns(path: Path) -> dict:
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+@pytest.mark.parametrize(
+    "line, flow, u0",
+    [
+        ("flow.kind = regularized\nflow.mu = 0.01", regularized_flow(2, 0.01), 0.1 * cosine_field(64, 1)),
+        ("flow.kind = hierarchy", hierarchy_flow(2), 0.1 * cosine_field(64, 1)),
+        ("ic.kind = random\nic.kmax = 8", model_flow(2),
+         random_decay_field(64, decay=5.0, seed=0, amplitude=0.1, kmax=8)),
+    ],
+)
+def test_solve_flow_and_ic_kinds_match_the_library(tmp_path, line, flow, u0):
+    out = tmp_path / "run.csv"
+    assert main(["solve", "--config", _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out))]) == 0
+    model = _csv_columns(out)
+    assert main(["solve", "--config", _write(tmp_path, "k.cfg", SOLVE_CFG.format(out=out) + line + "\n")]) == 0
+    cols = _csv_columns(out)
+    _, diag = solve(u0, flow, SolverConfig(n=64, dt=1e-3, t_final=0.01, diagnostics_every=5))
+    expected = {"t": diag.times, "l2": diag.l2, **{f"H{m}": v for m, v in diag.hams.items()}}
+    for name, values in expected.items():
+        assert [float(v) for v in cols[name]] == values
+    assert cols["l2"] != model["l2"]
+
+
+def test_solve_blow_up_exits_2_with_one_line(tmp_path, capsys):
+    # amplitude 100 at dt = 0.01 is far outside the stable step: a mode turns
+    # non-finite within a few steps; only t = 0 is recorded before that
+    out = tmp_path / "run.csv"
+    extra = "ic.amplitude = 100\ntime.dt = 1e-2\ntime.T = 1\ndiagnostics.every = 1000\n"
+    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg]) == 2
+    assert not [str(w.message) for w in caught]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: blow-up at t = ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -298,6 +358,9 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("energy-drift", "coercivity_amplitudes = 0"),
         ("energy-drift", "coercivity_amp_lo = 0"),
         ("energy-drift", "coercivity_amp_hi = -1"),
+        ("bona-smith", "amplitude = 0"),
+        ("bona-smith", "kmin = 1024"),
+        ("bona-smith", "kmin = -1"),
     ],
 )
 def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, name, line):
@@ -329,6 +392,13 @@ def test_mu_cauchy_zero_data_distances_vanish():
 
 def test_scaling_identity_map_is_exact():
     r = exp_scaling({"lam": 1, "n": 32, "t_final": 0.1, "dt": 2e-3})
+    assert r.verdict
+    assert r.metrics["max_rel_grid_error"] == 0.0
+
+
+def test_scaling_zero_data():
+    # zero is a fixed point of both runs: the error is 0, not 0/0
+    r = exp_scaling({"amplitude": 0.0, "n": 32, "t_final": 0.1})
     assert r.verdict
     assert r.metrics["max_rel_grid_error"] == 0.0
 
