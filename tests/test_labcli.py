@@ -23,11 +23,13 @@ from kdvlab.experiments import (
 from kdvlab.modenergy import SingularSystem
 from kdvlab.spectral import (
     SolverConfig,
+    SpectralField,
     cosine_field,
     hierarchy_flow,
     model_flow,
     random_decay_field,
     regularized_flow,
+    sobolev_norm,
     solve,
 )
 
@@ -270,6 +272,24 @@ def test_solve_blow_up_exits_2_with_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
+    # at amplitude 1e8 the state after one step is still finite, but its H2
+    # overflows: the diagnostics report the blow-up, not a NumPy warning
+    out = tmp_path / "run.csv"
+    text = (
+        "flow.kind = model\nflow.l = 2\ngrid.N = 64\ntime.dt = 1e-2\ntime.T = 1\n"
+        f"ic.amplitude = 1e8\noutput.path = {out}\n"
+    )
+    cfg = _write(tmp_path, "s.cfg", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg]) == 2
+    assert not [str(w.message) for w in caught]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: blow-up at t = ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -388,6 +408,31 @@ def test_mu_cauchy_zero_data_distances_vanish():
     r = exp_mu_cauchy({"amplitude": 0.0, "n": 64, "t_final": 0.05, "cadence": 25})
     assert r.verdict
     assert all(row[2] == 0.0 for row in r.tables["distances"][1])
+
+
+def test_mu_cauchy_distances_match_sequential_solves():
+    # the ladder marched as one batch gives, bit for bit, the table that one
+    # solve per mu and a sup over the stored states give
+    r = exp_mu_cauchy({"n": 32, "t_final": 0.02, "cadence": 4, "mus": (1e-2, 3e-3)})
+    cfg = r.config
+    u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
+    sc = SolverConfig(
+        n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
+        order=cfg["order"], diagnostics_every=cfg["cadence"], hamiltonians=(),
+    )
+    rows = []
+    for mu in cfg["mus"]:
+        states = {}
+        for m in (mu, mu / 2):
+            states[m] = []
+            solve(u0, regularized_flow(cfg["l"], m), sc, states[m].append)
+        d = max(
+            sobolev_norm(SpectralField(cfg["n"], a.modes - b.modes), 0.0)
+            for a, b in zip(states[mu], states[mu / 2])
+        )
+        rows.append([mu, mu / 2, d])
+    assert len(states[mu]) == 6
+    assert r.tables["distances"][1] == rows
 
 
 def test_scaling_identity_map_is_exact():

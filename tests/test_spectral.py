@@ -31,6 +31,7 @@ from kdvlab.spectral import (
     scale_field,
     sobolev_norm,
     solve,
+    solve_batch,
     step,
 )
 
@@ -248,6 +249,44 @@ def test_blowup_detected():
         solve(f, model_flow(2), cfg)
 
 
+def test_solve_batch_members_are_bit_identical_to_solve():
+    # a regularized ladder marched as one stack: every member keeps the bits
+    # of its own solve, in its final state, its diagnostics and what observe sees
+    f = random_decay_field(64, decay=3.0, seed=7, amplitude=0.1)
+    flows = [regularized_flow(2, mu) for mu in (1e-2, 5e-3, 0.0, 2.5e-3)]
+    for order in (2, 4):
+        for dealias in (2.0 / 3.0, 1.0):
+            cfg = SolverConfig(
+                n=64, dt=1e-4, t_final=2e-3, dealias=dealias, order=order,
+                diagnostics_every=7, hamiltonians=(0, 1, 2),
+            )
+            seen = []
+            batch = solve_batch(f, flows, cfg, seen.append)
+            assert len(batch) == len(flows)
+            assert [len(states) for states in seen] == [len(flows)] * 4
+            for j, (flow, (state, diag)) in enumerate(zip(flows, batch)):
+                alone = []
+                ref, ref_diag = solve(f, flow, cfg, alone.append)
+                assert np.array_equal(state.modes, ref.modes)
+                assert np.array_equal(diag.times, ref_diag.times)
+                assert np.array_equal(diag.l2, ref_diag.l2)
+                assert diag.hams.keys() == ref_diag.hams.keys()
+                for m, values in diag.hams.items():
+                    assert np.array_equal(values, ref_diag.hams[m])
+                assert len(alone) == len(seen)
+                for states, g in zip(seen, alone):
+                    assert np.array_equal(states[j].modes, g.modes)
+
+
+def test_solve_batch_rejects_mixed_nonlinearities():
+    f = 0.1 * cosine_field(64, 1)
+    cfg = SolverConfig(n=64, dt=1e-3, t_final=1e-3, hamiltonians=())
+    with pytest.raises(ValueError):
+        solve_batch(f, [model_flow(2), hierarchy_flow(2)], cfg)
+    with pytest.raises(ValueError):
+        solve_batch(f, [], cfg)
+
+
 def test_time_grid_must_divide():
     cfg = SolverConfig(n=64, dt=3e-3, t_final=0.01, hamiltonians=())
     with pytest.raises(ValueError):
@@ -414,15 +453,35 @@ def test_rhs_fft_count_is_pinned(monkeypatch):
     assert counts == {"rfft": 4, "irfft": 4}
 
 
+def test_batch_step_fft_count_is_pinned(monkeypatch):
+    # one order-4 step of six flows is four RHS evaluations of the whole
+    # stack: 4 rfft + 4 irfft, as for one flow
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def call(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+    flows = [regularized_flow(2, mu) for mu in (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4, 3.125e-4)]
+    cfg = SolverConfig(n=128, dt=1e-4, t_final=1e-4, order=4, hamiltonians=())
+    solve_batch(0.1 * cosine_field(128, 1), flows, cfg)
+    assert counts == {"rfft": 4, "irfft": 4}
+
+
 def test_rhs_plan_is_thread_safe():
     flow = hierarchy_flow(3)
     fields = [random_decay_field(256, decay=2.0, seed=seed, amplitude=0.1) for seed in range(4)]
     plan = _PolyPlan(flow.nonlinear, 256, 2.0 / 3.0)
+    stack = np.array([f.modes[: plan.take + 1] for f in fields])
 
     def both(f):
-        return eval_diffpoly(flow.nonlinear, f).modes, plan.apply(f.modes)
+        return eval_diffpoly(flow.nonlinear, f).modes, plan.apply(f.modes), plan.apply(stack)
 
     serial = [both(f) for f in fields]
+    # a (4, take+1) batch gives each row the bits of its own evaluation
+    assert serial[0][2].shape == (4, plan.take + 1)
+    assert all(np.array_equal(row, b) for row, (_, b, _) in zip(serial[0][2], serial))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -430,5 +489,5 @@ def test_rhs_plan_is_thread_safe():
             threaded = list(pool.map(both, fields * 8))
     finally:
         sys.setswitchinterval(interval)
-    for (a, b), (c, d) in zip(threaded, serial * 8):
-        assert np.array_equal(a, c) and np.array_equal(b, d)
+    for got, want in zip(threaded, serial * 8):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
