@@ -13,6 +13,7 @@ total derivatives.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -213,12 +214,14 @@ def partial_derivative(p: DiffPoly, factor: Factor) -> DiffPoly:
 
 
 def euler_operator(p: DiffPoly, symbol: str = "u") -> DiffPoly:
-    """Variational derivative sum_k (-1)^k d^k (dp / d(d^k symbol))."""
-    orders = sorted({k for m in p for s, k in m.factors if s == symbol})
+    """Variational derivative sum_k (-1)^k d^k (dp / d(d^k symbol)).
+
+    Summed in Horner form P_0 - d(P_1 - d(P_2 - ...)): one d/dx per order.
+    """
+    top = max((k for m in p for s, k in m.factors if s == symbol), default=-1)
     acc = DiffPoly.zero()
-    for k in orders:
-        term = total_derivative(partial_derivative(p, (symbol, k)), k)
-        acc = acc + (term if k % 2 == 0 else -term)
+    for k in range(top, -1, -1):
+        acc = partial_derivative(p, (symbol, k)) - total_derivative(acc)
     return acc
 
 
@@ -235,23 +238,16 @@ def is_exact(p: DiffPoly) -> bool:
     return all(euler_operator(p, s).is_zero() for s in p.symbols())
 
 
-def _peel_mono_key(fac: tuple[Factor, ...]):
-    """Block order: symbols ascending, derivative orders descending per block.
+def _peel_mono_key(fac: tuple[Factor, ...], rank: Mapping[str, int]):
+    """Block order: degree, symbols ascending, derivative orders descending per block.
 
-    d/dx preserves (degree, symbol sequence) and its top term always raises
-    the leading run of the first block, so the key is strictly decreasing
-    along a peel and the reduction terminates; see _peel.
+    Negated for heapq's min-heap; rank[s] is the position of symbol s in sorted
+    order. d/dx preserves (degree, symbol sequence) and its top term always
+    raises the leading run of the first block, so the key is strictly
+    decreasing along a peel and the reduction terminates; see _peel.
     """
-    by_sym: dict[str, list[int]] = {}
-    for s, k in fac:
-        by_sym.setdefault(s, []).append(k)
-    sym_seq: list[str] = []
-    order_vec: list[int] = []
-    for s in sorted(by_sym):
-        ks = sorted(by_sym[s], reverse=True)
-        sym_seq.extend([s] * len(ks))
-        order_vec.extend(ks)
-    return (len(fac), tuple(sym_seq), tuple(order_vec))
+    blocks = sorted((rank[s], -k) for s, k in fac)
+    return (-len(fac), tuple(-r for r, _ in blocks), tuple(nk for _, nk in blocks))
 
 
 def _peel(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
@@ -263,15 +259,23 @@ def _peel(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
     of d/dx of its lowered antiderivative, and subtracting that introduces
     only strictly smaller monomials. Irreducible tops move to the residue.
     A nonzero reduced residue is never exact (exact polynomials always have
-    reducible tops), which makes the residue canonical modulo d/dx.
+    reducible tops), which makes the residue canonical modulo d/dx. A monomial
+    is keyed once, as it enters `work`; a heap entry whose monomial has since
+    cancelled out of `work` is skipped.
     """
+    rank = {s: i for i, s in enumerate(p.symbols())}
     work = {m.factors: m.coeff for m in p}
+    heap = [(_peel_mono_key(fac, rank), fac) for fac in work]
+    heapq.heapify(heap)
     anti: list[DiffMonomial] = []
     residue: list[DiffMonomial] = []
-    while work:
-        fac, coeff = max(work.items(), key=lambda kv: _peel_mono_key(kv[0]))
+    while heap:
+        fac = heapq.heappop(heap)[1]
+        coeff = work.get(fac)
+        if coeff is None:
+            continue
         if fac:
-            s0 = min(s for s, _ in fac)
+            s0 = fac[0][0]
             block = sorted((k for s, k in fac if s == s0), reverse=True)
             reducible = block[0] >= 1 and (len(block) == 1 or block[0] > block[1])
         else:
@@ -288,11 +292,14 @@ def _peel(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
         a = DiffMonomial(coeff / lowered.count((s0, block[0] - 1)), lowered)
         anti.append(a)
         for t in _derive_monomial(a):
-            c0 = work.get(t.factors, Fraction(0)) - t.coeff
-            if c0 == 0:
-                work.pop(t.factors, None)
+            c0 = work.get(t.factors)
+            if c0 is None:
+                work[t.factors] = -t.coeff
+                heapq.heappush(heap, (_peel_mono_key(t.factors, rank), t.factors))
+            elif c0 == t.coeff:
+                del work[t.factors]
             else:
-                work[t.factors] = c0
+                work[t.factors] = c0 - t.coeff
     return DiffPoly(anti), DiffPoly(residue)
 
 

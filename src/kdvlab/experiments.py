@@ -513,12 +513,15 @@ def exp_scaling(config: dict | None = None) -> ExperimentResult:
     flow = model_flow(l)
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
     fac = lam ** (2 * l + 1)
+    # only the final states are compared: record nothing in between
+    steps = max(1, round(cfg["t_final"] / cfg["dt"]))
 
-    ua, _ = solve(u0, flow, _solver_config(cfg, hamiltonians=()))
+    ua, _ = solve(u0, flow, _solver_config(cfg, hamiltonians=(), diagnostics_every=steps))
     solved_scaled = scale_field(ua, lam)
 
     fine = _solver_config(
         cfg, n=lam * cfg["n"], dt=cfg["dt"] / fac, t_final=cfg["t_final"] / fac, hamiltonians=(),
+        diagnostics_every=steps,
     )
     ub, _ = solve(scale_field(u0, lam), flow, fine)
 

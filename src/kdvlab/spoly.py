@@ -1,7 +1,7 @@
 """Exact dense polynomials in the symbolic Sobolev index s.
 
 Coefficient arithmetic for the modified-energy construction: binomial weights
-C(s, j) and the solved correction weights are polynomials in s with Fraction
+C(s, j) and the solved correction weights are polynomials in s with rational
 coefficients. A constant polynomial plays the role of a plain rational.
 """
 
@@ -9,116 +9,130 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Union
 
 Scalar = Union[Fraction, int]
 
 
-class SPoly:
-    """Polynomial in s, coefficients ascending: c[0] + c[1] s + c[2] s^2 + ..."""
+def _parts(x) -> tuple[tuple[int, ...], int]:
+    """(numerators, denominator) of an SPoly or a rational scalar."""
+    if isinstance(x, SPoly):
+        return x.num, x.den
+    f = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return ((f.numerator,) if f else ()), f.denominator
 
-    __slots__ = ("coeffs",)
+
+class SPoly:
+    """Polynomial in s, coefficients ascending: (num[0] + num[1] s + ...) / den.
+
+    Integer numerators over one positive denominator, normalized (no trailing
+    zeros, gcd(den, *num) = 1), so equal polynomials have equal (num, den).
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> "SPoly":
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num)
+        self.num, self.den = tuple(n // g for n in num), den // g
+        return self
 
     @staticmethod
     def const(c: Scalar) -> "SPoly":
-        return SPoly([Fraction(c)])
+        return SPoly([c])
 
     @staticmethod
     def s() -> "SPoly":
         return SPoly([0, 1])
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Read-only view of the coefficients as Fractions, ascending."""
+        return tuple(Fraction(n, self.den) for n in self.num)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
+        return len(self.num) - 1
 
     def constant_value(self) -> Fraction:
         """The value when the polynomial is constant; errors otherwise."""
         if self.degree > 0:
             raise ValueError(f"not a constant: {self!r}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __call__(self, s_value):
-        """Evaluate; exact for Fraction/int input, float for float input."""
-        acc = 0 * s_value if isinstance(s_value, float) else Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * s_value + (float(c) if isinstance(s_value, float) else c)
-        return acc
+        """Evaluate; exact for Fraction/int input, float for float input.
 
-    def _binop(self, other, fn):
-        o = other if isinstance(other, SPoly) else SPoly.const(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return SPoly([fn(x, y) for x, y in zip(a, b)])
+        A float coefficient is n / den, one correctly rounded int division:
+        the same float as float(Fraction(n, den)).
+        """
+        fl = isinstance(s_value, float)
+        acc = 0 * s_value if fl else 0
+        for n in reversed(self.num):
+            acc = acc * s_value + (n / self.den if fl else n)
+        return acc if fl else Fraction(acc) / self.den
+
+    def _add(self, other, sign: int) -> "SPoly":
+        on, od = _parts(other)
+        g = gcd(self.den, od)
+        a = [n * (od // g) for n in self.num] + [0] * (len(on) - len(self.num))
+        for i, n in enumerate(on):
+            a[i] += sign * n * (self.den // g)
+        return object.__new__(SPoly)._set(a, self.den // g * od)
 
     def __add__(self, other):
-        return self._binop(other, lambda x, y: x + y)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binop(other, lambda x, y: x - y)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return SPoly.const(other) - self
+        return (-self)._add(other, 1)
 
     def __neg__(self):
-        return SPoly([-c for c in self.coeffs])
+        return object.__new__(SPoly)._set([-n for n in self.num], self.den)
 
     def __mul__(self, other):
-        o = other if isinstance(other, SPoly) else SPoly.const(other)
-        if self.is_zero() or o.is_zero():
-            return SPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
+        on, od = _parts(other)
+        out = [0] * max(len(self.num) + len(on) - 1, 0)
+        for i, a in enumerate(self.num):
+            for j, b in enumerate(on):
                 out[i + j] += a * b
-        return SPoly(out)
+        return object.__new__(SPoly)._set(out, self.den * od)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar):
-        c = Fraction(other)
-        return SPoly([x / c for x in self.coeffs])
+        return self * (1 / Fraction(other))
 
     def __eq__(self, other):
-        o = other if isinstance(other, SPoly) else SPoly.const(other)
-        return self.coeffs == o.coeffs
+        return (self.num, self.den) == _parts(other)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*s")
-            else:
-                parts.append(f"{c}*s^{i}")
-        return " + ".join(parts)
+        powers = ("", "*s") + tuple(f"*s^{i}" for i in range(2, len(self.num)))
+        return " + ".join(f"{c}{x}" for c, x in zip(self.coeffs, powers) if c) or "0"
 
     def to_obj(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
     @staticmethod
     def from_obj(obj) -> "SPoly":
-        return SPoly([Fraction(c) for c in obj])
+        return SPoly(obj)
 
 
 @lru_cache(maxsize=None)

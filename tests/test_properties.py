@@ -15,6 +15,7 @@ from kdvlab.diffpoly import (
     euler_operator,
     ibp_normal_form,
     integrate_exact,
+    partial_derivative,
     split_exact,
     total_derivative,
 )
@@ -89,6 +90,60 @@ def test_derivation_product_rule(p, q):
     lhs = total_derivative(p * q)
     rhs = total_derivative(p) * q + p * total_derivative(q)
     assert lhs == rhs
+
+
+def _greedy_key(fac):
+    # the peel's block order spelled out: degree, symbol sequence (ascending),
+    # then derivative orders, descending within each symbol block
+    by_sym: dict = {}
+    for s, k in fac:
+        by_sym.setdefault(s, []).append(k)
+    syms, orders = [], []
+    for s in sorted(by_sym):
+        ks = sorted(by_sym[s], reverse=True)
+        syms += [s] * len(ks)
+        orders += ks
+    return (len(fac), tuple(syms), tuple(orders))
+
+
+def _greedy_peel(p):
+    """Slow reference peel: rescan for the maximal monomial at every step."""
+    work, anti, residue = p, DiffPoly(), DiffPoly()
+    while not work.is_zero():
+        top = max(work, key=lambda m: _greedy_key(m.factors))
+        fac = top.factors
+        block = sorted((k for s, k in fac if s == fac[0][0]), reverse=True) if fac else [0]
+        if block[0] >= 1 and (len(block) == 1 or block[0] > block[1]):
+            lowered = list(fac)
+            lowered.remove((fac[0][0], block[0]))
+            lowered.append((fac[0][0], block[0] - 1))
+            mult = lowered.count((fac[0][0], block[0] - 1))
+            a = DiffPoly([DiffMonomial(top.coeff / mult, tuple(lowered))])
+            anti, work = anti + a, work - total_derivative(a)
+        else:
+            residue, work = residue + DiffPoly([top]), work - DiffPoly([top])
+    return anti, residue
+
+
+@settings(max_examples=80, deadline=None)
+@given(_polys(max_order=5, max_terms=4) | _polys(symbols=("u", "v"), max_order=4, max_terms=4))
+def test_peel_matches_greedy_max_reference(p):
+    anti, residue = split_exact(p)
+    ref_anti, ref_residue = _greedy_peel(p)
+    assert residue == ref_residue
+    assert anti == ref_anti
+    assert total_derivative(anti) + residue == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(symbols=("u", "v"), max_order=4, max_terms=4))
+def test_euler_operator_matches_its_defining_sum(p):
+    for s in ("u", "v"):
+        want = DiffPoly()
+        for k in range(6):
+            term = total_derivative(partial_derivative(p, (s, k)), k)
+            want = want + (term if k % 2 == 0 else -term)
+        assert euler_operator(p, s) == want
 
 
 spolys = st.builds(SPoly, st.lists(coeffs | st.just(Fraction(0)), max_size=4))
