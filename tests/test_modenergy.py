@@ -6,6 +6,8 @@ freezes construction sizes as a change detector; numeric tests certify that
 the symbolic time-derivative decomposition is an identity on real fields.
 """
 
+import hashlib
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -200,6 +202,78 @@ def test_blueprint_serialization():
     assert obj["resonant_residue"] == []
     assert len(obj["gammas"]) == len(bp.corrections)
     assert obj["diagnostics"]["regularity_threshold"] == str(regularity_threshold(3))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of build_energy(l): (sorted-key to_obj() JSON, repr of the ordered
+# bounded_remainder + markers), recorded from a certified run
+_BLUEPRINT_SHA = {
+    2: (
+        "8c297fe387d912bef28a71cd8400170e2d5c0e3d295f7f3d38a9ec16da1b04d8",
+        "70526fdcda9ce11c0cfe5ddc7a04a3dc4920c16c8e44395b9460669542a94560",
+    ),
+    3: (
+        "a26509b2a153b72a23f5554eb6f42fcb50ddebdfd9ad14010544e019db5d1a2f",
+        "ca3042901182e2bbc4fc49488189c1db9e03b045eeb5f14111c08f00bc965a87",
+    ),
+    4: (
+        "30bb607a3536a9fe6743b051a636fe69fc3a88ecf384e784f1982035281cd314",
+        "445fde5a6321c46b42cb940e4199abb2c4a7121634d4d72d65537753e0f367a8",
+    ),
+    5: (
+        "8ff8698985b489700c18d5f97dcb83e0ba9c0bed4f98c03dbf057b496bf7a0ca",
+        "1e5b177160f0119716bc2b5434b050e216012b15159e670a3d1c840400a333a5",
+    ),
+    6: (
+        "ca4cfe1283551aa76510f34db8ed4bb9b53b29a072be1b2c7331bc45dad369b3",
+        "c83d3da9f232c2acb38d9b85827abe4eb1a28b16387cc7f3701bfeb6e29f2c8e",
+    ),
+    7: (
+        "56bd42a704af052fe04c11fe532962bbcaa3efbca278b8c6131877eb333a7725",
+        "c0ef02a8bac6ad22d3f3c9b969c493bba718564cd71ebcabbba90d32398866da",
+    ),
+}
+
+# sha256 of repr(quadratic_derivative(l))
+_QUADRATIC_SHA = {
+    2: "1d7ca7a56b433aba96a24bd992d4b7c2b7c733e294842ca3c5aac6ba3e39ea55",
+    3: "2bbbd3001f8458aadb5107ec9feaa11a3cde47b63c3e7adf60893366a8528efc",
+    4: "5fcba243d43dee9290c3d65b324e4b3702d8b3c2dac306df5dedf250dadb4d51",
+    5: "7f2e719fc4d33ef0cab7aea012afa9b3c32b2c2546254ae1688ec8492f7f1216",
+    6: "9581b1595aab1ebceac4266918506cd2ebac4cdfd2cbdb681a95f0fd46635fc9",
+    7: "23c4c1d8d9eaa844d6b820b25f7eddb1de29f1b64ca61fdbd9aaf6882f0ba094",
+    8: "06e80f1a1e3569e144bf668486ff04b3b947f9b1849eb53ecab79b9331628e2a",
+    9: "7a26b351650e04777b8091c964539a686cff5f87bc32ec4239076e0bf37b3ecc",
+}
+
+# sha256 of build_energy(l, max_stage) stopped early: to_obj() JSON then the
+# repr of bounded_remainder + markers + pending
+_EARLY_STOP_SHA = {
+    (3, 3): "97534339f49a3e0716e4b742c7a4df8b67d9063b2ebc8505e624c885b6375bca",
+    (4, 3): "598a4d4b19fd70bf2afb7e1088d9b5ec18fd2f0a7c360681b85b3a435a676c8a",
+    (4, 4): "e2340a46f8e760b2abba773208675a5c971758c0a859b05a022bcbf3a29e5a4f",
+    (5, 3): "d33b92855d9f94818c4bfcef129b0b3365f5c522741eecce240d307fb5c32508",
+    (5, 4): "8361a387ca769741e7f97384736a22223ae4c8b873e8348ddac6a62a844d92f2",
+    (5, 5): "c0d2576d958bcadeb34630dccd82b05d4ff68d73471bbddb899ecc0284d3ad5d",
+}
+
+
+def test_cascade_output_is_pinned():
+    # every symbolic output of the cascade, byte for byte: a rewrite of the
+    # construction must reproduce the terms, their coefficients and their order
+    for l, (obj_sha, items_sha) in _BLUEPRINT_SHA.items():
+        bp = build_energy(l)
+        assert _sha(json.dumps(bp.to_obj(), sort_keys=True)) == obj_sha, l
+        assert _sha(repr(bp.bounded_remainder + bp.markers)) == items_sha, l
+    for l, sha in _QUADRATIC_SHA.items():
+        assert _sha(repr(quadratic_derivative(l))) == sha, l
+    for (l, stage), sha in _EARLY_STOP_SHA.items():
+        bp = build_energy(l, stage)
+        text = json.dumps(bp.to_obj(), sort_keys=True) + repr(bp.bounded_remainder + bp.markers + bp.pending)
+        assert _sha(text) == sha, (l, stage)
 
 
 # ---------------------------------------------------------------------------
