@@ -1,9 +1,9 @@
 """Exact differential polynomials in one periodic space variable.
 
-A monomial is a rational multiple of a product of x-derivatives of dependent
+A monomial is an exact multiple of a product of x-derivatives of dependent
 symbols, prod_i d^{k_i} v_i, stored as a multiset of (symbol, order) factors.
-Everything is exact: coefficients are fractions.Fraction and no float ever
-enters this module.
+Everything is exact: coefficients are any exact ring element (`Fraction`, or
+`SPoly` in the energy cascade) and no float ever enters this module.
 
 The module provides the polynomial ring operations, the variational (Euler)
 derivative as an exactness oracle, a constructive antiderivative for exact

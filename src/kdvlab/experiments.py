@@ -23,7 +23,7 @@ PASS/FAIL verdict computed only from thresholds carried in the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -258,10 +258,12 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     """
     cfg = _resolve(BONA_SMITH_DEFAULTS, config)
     eps = cfg["eps"]
-    if len(eps) < 2 or min(eps) <= 0:
-        raise ValueError(f"bona-smith: the rate fits need at least two positive eps, got {eps}")
+    if len(set(eps)) < 2 or min(eps) <= 0:
+        raise ValueError(f"bona-smith: the rate fits need at least two distinct positive eps, got {eps}")
     if min(cfg["nus"]) <= 0:
         raise ValueError(f"bona-smith: the growth gate needs every nu > 0, got {cfg['nus']}")
+    if min(cfg["betas"]) <= 0:
+        raise ValueError(f"bona-smith: the convergence gate needs every beta > 0, got {cfg['betas']}")
     # the rates are read off frequencies near 1/eps, so the band must reach them
     band, finest = cfg["n"] // 2 - 1, 1.0 / min(eps)
     if band < finest:
@@ -513,10 +515,11 @@ def exp_scaling(config: dict | None = None) -> ExperimentResult:
     flow = model_flow(l)
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
     fac = lam ** (2 * l + 1)
+    coarse = _solver_config(cfg, hamiltonians=())
     # only the final states are compared: record nothing in between
-    steps = max(1, round(cfg["t_final"] / cfg["dt"]))
+    steps = max(1, round(coarse.t_final / coarse.dt))
 
-    ua, _ = solve(u0, flow, _solver_config(cfg, hamiltonians=(), diagnostics_every=steps))
+    ua, _ = solve(u0, flow, replace(coarse, diagnostics_every=steps))
     solved_scaled = scale_field(ua, lam)
 
     fine = _solver_config(

@@ -53,11 +53,9 @@ __all__ = [
     "CommutatorTail",
     "Correction",
     "StageReport",
-    "CorrectionDerivative",
     "EnergyBlueprint",
     "reduce_triple",
     "quadratic_derivative",
-    "correction_derivative",
     "build_energy",
     "regularity_threshold",
     "evaluate_energy",
@@ -275,29 +273,44 @@ def reduce_triple(t: PTerm) -> list[PTerm]:
     return _merge(_reduce_pair(t))
 
 
+def _reduce_classify(pairs) -> tuple[list[PTerm], list[PTerm]]:
+    """Reduce pair terms to merged normalized squares: (bounded, resonant)."""
+    bounded: list[PTerm] = []
+    resonant: list[PTerm] = []
+    for term in _merge(square for pair in pairs for square in _reduce_pair(pair)):
+        (resonant if term.is_resonant else bounded).append(term)
+    return bounded, resonant
+
+
 # ---------------------------------------------------------------------------
 # quadratic stage: d/dt of 1/2 |u|_{H^s}^2 along u_t = -d^{2l+1}u + u d^{2l-1}u
 # ---------------------------------------------------------------------------
 
 
-def quadratic_derivative(l: int) -> tuple[list, list[PTerm]]:
-    """Main terms of d/dt (1/2 |u|_{H^s}^2): (bounded-with-markers, resonant).
+def _quadratic_expansion(l: int) -> tuple[list, list[PTerm]]:
+    """(markers, pairs) of d/dt (1/2 |u|_{H^s}^2): the cascade's starting stage.
 
     The linear flow contributes nothing (odd operator).  Since J^{2s} =
     D^{2s} + (J^{2s} - D^{2s}), the nonlinear part is the J/D norm-gap marker
     plus the correction expansion (_expand_nonlinear) applied to
     1/2 int (D^s u)^2: para-Leibniz pairs with weights C(s, j) and one
-    commutator tail marker.  The pairs are reduced to squares and classified.
-    Resonant output carries the beta weights as polynomials in s.
+    commutator tail marker.
+    """
+    pairs, _, tails = _expand_nonlinear(PTerm(_ONE / 2, 0, (), 0, 0, 0), l)
+    return [NormGapTerm(_ONE, l), *tails], pairs
+
+
+def quadratic_derivative(l: int) -> tuple[list, list[PTerm]]:
+    """Main terms of d/dt (1/2 |u|_{H^s}^2): (markers then bounded, resonant).
+
+    The quadratic expansion's pairs reduced to squares and classified;
+    resonant output carries the beta weights as polynomials in s.
     """
     if l < 2:
         raise ValueError("model flow requires l >= 2")
-    pairs, _, tails = _expand_nonlinear(PTerm(_ONE / 2, 0, (), 0, 0, 0), l)
-    bounded: list = [NormGapTerm(_ONE, l), *tails]
-    resonant: list[PTerm] = []
-    for term in _merge(square for pair in pairs for square in _reduce_pair(pair)):
-        (resonant if term.is_resonant else bounded).append(term)
-    return bounded, resonant
+    markers, pairs = _quadratic_expansion(l)
+    bounded, resonant = _reduce_classify(pairs)
+    return markers + bounded, resonant
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +330,12 @@ def _correction_shape(bucket: tuple[int, tuple[int, ...], int], l: int) -> PTerm
 
 
 def _expand_linear(corr: PTerm, l: int) -> list[PTerm]:
-    """Normalized squares of d/dt corr along u_t = -d^{2l+1}u (exact)."""
-    table = alpha_coeffs(l)
-    out = []
-    for i in range(1, l + 1):
-        out.append(
-            _normalize_square(
-                pterm(-table[i] * corr.coeff, corr.a_out + 2 * (l - i) + 1, corr.inner, corr.off, corr.b + i, corr.b + i)
-            )
-        )
-    out.append(_normalize_square(pterm(corr.coeff, corr.a_out + 2 * l + 1, corr.inner, corr.off, corr.b, corr.b)))
+    """Normalized squares of d/dt corr along u_t = -d^{2l+1}u (exact).
+
+    Hitting either D-factor gives the odd-gap pair -2 c (b, b + 2l + 1),
+    reduced by _reduce_pair; a hit on a plain factor raises its order.
+    """
+    out = _reduce_pair(pterm(-2 * corr.coeff, corr.a_out, corr.inner, corr.off, corr.b, corr.b + 2 * l + 1))
     for idx, q in enumerate(corr.inner):
         raised = corr.inner[:idx] + (q + 2 * l + 1,) + corr.inner[idx + 1 :]
         out.append(_normalize_square(pterm(-corr.coeff, corr.a_out, raised, corr.off, corr.b, corr.b)))
@@ -370,35 +379,6 @@ def _expand_nonlinear(corr: PTerm, l: int) -> tuple[list[PTerm], list[PTerm], li
             CommutatorTail(lead, corr.a_out, corr.inner, corr.off, r, m_high, i_max, jj)
         )
     return _merge(pairs), _merge(squares), tails
-
-
-@dataclass(frozen=True)
-class CorrectionDerivative:
-    """Exact d/dt of one unit-coefficient cubic correction term."""
-
-    resonant: tuple[PTerm, ...]
-    bounded: tuple[PTerm, ...]
-    higher: tuple  # PTerm pairs feeding the next stage, then tail markers
-
-
-def correction_derivative(l: int, j: int) -> CorrectionDerivative:
-    """d/dt of the cubic correction with index j (0 <= j <= l-2), gamma = 1.
-
-    The resonant part contains the diagonal hit on B_{l-1-j} plus lower
-    buckets; bounded squares and the quartic pair/tail terms are returned
-    separately.
-    """
-    if l < 2:
-        raise ValueError("model flow requires l >= 2")
-    if not 0 <= j <= l - 2:
-        raise ValueError(f"correction index must be in 0..{l - 2}")
-    m = l - 1 - j
-    corr = _correction_shape((2 * j + 1, (0,), m), l)
-    linear = _expand_linear(corr, l)
-    pairs, squares, tails = _expand_nonlinear(corr, l)
-    res = tuple(t for t in linear if t.is_resonant)
-    bnd = tuple(t for t in linear if not t.is_resonant)
-    return CorrectionDerivative(res, bnd, tuple(pairs + squares) + tuple(tails))
 
 
 # ---------------------------------------------------------------------------
@@ -476,53 +456,26 @@ class EnergyBlueprint:
         }
 
 
-def _bucketize(squares: list[PTerm]) -> tuple[dict, list[PTerm]]:
-    resonant: dict[tuple, SPoly] = {}
-    bounded: list[PTerm] = []
-    for t in squares:
-        if t.coeff.is_zero():
-            continue
-        if t.is_resonant:
-            key = t.bucket()
-            resonant[key] = resonant.get(key, _ZERO) + t.coeff
-        else:
-            bounded.append(t)
-    return {k: v for k, v in resonant.items() if not v.is_zero()}, bounded
-
-
-def _peel_zero_outer(resonant: dict) -> tuple[dict, list[PTerm]]:
-    """Rewrite resonant buckets with no outer derivative via the exact peel.
+def _peel_zero_outer(resonant: list[PTerm]) -> tuple[dict, list[PTerm]]:
+    """Bucket resonant squares, rewriting those with no outer derivative exactly.
 
     int P (D^s d^m u)^2 with P a bare product is correctable only if P is a
-    total derivative; the exact part becomes (A=1, inner) buckets, any
-    non-exact residue is reported instead of silently dropped.
+    total derivative; the peel runs on the SPoly coefficients, its exact part
+    becomes (A=1, inner) buckets, and any non-exact residue is reported
+    instead of silently dropped.
     """
-    out: dict[tuple, SPoly] = {}
+    out = {t.bucket(): t.coeff for t in resonant if t.a_out >= 1}
+    by_m: dict[int, list[DiffMonomial]] = {}
+    for t in resonant:
+        if t.a_out == 0:
+            by_m.setdefault(t.b, []).append(DiffMonomial(t.coeff, tuple(("u", q) for q in t.inner)))
     residue: list[PTerm] = []
-    by_m: dict[int, list[tuple[tuple[int, ...], SPoly]]] = {}
-    for (a_out, inner, m), cp in sorted(resonant.items()):
-        if a_out >= 1:
-            out[(a_out, inner, m)] = out.get((a_out, inner, m), _ZERO) + cp
-        else:
-            by_m.setdefault(m, []).append((inner, cp))
     for m in sorted(by_m):
-        deg = max(len(cp.coeffs) for _, cp in by_m[m])
-        for d in range(deg):
-            poly = DiffPoly(
-                DiffMonomial(cp.coeffs[d], tuple(("u", q) for q in inner))
-                for inner, cp in by_m[m]
-                if d < len(cp.coeffs) and cp.coeffs[d] != 0
-            )
-            if poly.is_zero():
-                continue
-            anti, res = split_exact(poly)
-            sd = SPoly((0,) * d + (1,))
-            for monoterm in anti.monomials:
-                t = pterm(sd * monoterm.coeff, 1, tuple(k for _, k in monoterm.factors), 0, m, m)
-                key = t.bucket()
-                out[key] = out.get(key, _ZERO) + t.coeff
-            for monoterm in res.monomials:
-                residue.append(pterm(sd * monoterm.coeff, 0, tuple(k for _, k in monoterm.factors), 0, m, m))
+        anti, res = split_exact(DiffPoly(by_m[m]))
+        for mono in anti:
+            key = pterm(mono.coeff, 1, [k for _, k in mono.factors], 0, m, m).bucket()
+            out[key] = out.get(key, _ZERO) + mono.coeff
+        residue.extend(pterm(mono.coeff, 0, [k for _, k in mono.factors], 0, m, m) for mono in res)
     return {k: v for k, v in out.items() if not v.is_zero()}, residue
 
 
@@ -583,33 +536,17 @@ def build_energy(l: int, max_stage: int | None = None) -> EnergyBlueprint:
         raise ValueError(f"stage must be in 3..{full}")
 
     bp = EnergyBlueprint(l=l, max_stage=max_stage)
-    qbounded, qresonant = quadratic_derivative(l)
-    for item in qbounded:
-        (bp.bounded_remainder if isinstance(item, PTerm) else bp.markers).append(item)
-    squares = qresonant
-
+    bp.markers, pairs = _quadratic_expansion(l)
     for stage in range(3, max_stage + 1):
-        resonant, bounded = _bucketize(_merge(squares))
+        bounded, resonant = _reduce_classify(pairs)
         bp.bounded_remainder.extend(bounded)
-        resonant, residue = _peel_zero_outer(resonant)
+        buckets, residue = _peel_zero_outer(resonant)
         bp.resonant_residue.extend(residue)
-        pairs = _solve_stage(l, stage, resonant, bp)
-        squares = []
-        for p in pairs:
-            squares.extend(_reduce_pair(p))
-
-    resonant, bounded = _bucketize(_merge(squares))
-    bp.bounded_remainder.extend(bounded)
-    if max_stage == full:
-        # spill of the last stage must be non-resonant; report otherwise
-        for key in sorted(resonant):
-            a_out, inner, m = key
-            bp.resonant_residue.append(PTerm(resonant[key], a_out, inner, 0, m, m))
-    else:
-        for key in sorted(resonant):
-            a_out, inner, m = key
-            bp.pending.append(PTerm(resonant[key], a_out, inner, 0, m, m))
-    bp.bounded_remainder = _merge(bp.bounded_remainder)
+        pairs = _solve_stage(l, stage, buckets, bp)
+    bounded, resonant = _reduce_classify(pairs)
+    bp.bounded_remainder = _merge(bp.bounded_remainder + bounded)
+    # the final stage's spill must be non-resonant; an early stop leaves it pending
+    (bp.resonant_residue if max_stage == full else bp.pending).extend(resonant)
     return bp
 
 

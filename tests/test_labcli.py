@@ -330,11 +330,14 @@ def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("line", ["n = 8", "n = 256", "eps = 0.05", "eps = 0.05, 0"])
+@pytest.mark.parametrize("line", ["n = 8", "n = 256", "eps = 0.05", "eps = 0.05, 0", "eps = 0.05, 0.05"])
 def test_exp_bona_smith_grid_too_small_for_fit_exits_2(tmp_path, capsys, line):
     cfg = _write(tmp_path, "b.cfg", line + "\n")
     out = tmp_path / "out"
-    assert main(["exp", "bona-smith", "--config", cfg, "--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["exp", "bona-smith", "--config", cfg, "--out", str(out)]) == 2
+    assert not [str(w.message) for w in caught]
     assert _one_error_line(capsys)
     assert not out.exists()
 
@@ -371,10 +374,13 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("mu-cauchy", "t_final = 0"),
         ("energy-drift", "t_final = 0"),
         ("scaling", "t_final = 0"),
+        ("scaling", "dt = 0"),
         ("energy-drift", "contrast_k0 = 8"),
         ("energy-drift", "contrast_k0 = 8, 8"),
         ("bona-smith", "nus = 0"),
         ("bona-smith", "nus = 0.5, -1"),
+        ("bona-smith", "betas = 0"),
+        ("bona-smith", "betas = 0.5, -1"),
         ("energy-drift", "coercivity_amplitudes = 0"),
         ("energy-drift", "coercivity_amp_lo = 0"),
         ("energy-drift", "coercivity_amp_hi = -1"),

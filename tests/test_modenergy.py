@@ -23,8 +23,9 @@ from kdvlab.modenergy import (
     OddOffset,
     PTerm,
     ThresholdViolation,
+    _correction_shape,
+    _expand_linear,
     build_energy,
-    correction_derivative,
     energy_time_derivative,
     evaluate_energy,
     pterm,
@@ -152,9 +153,10 @@ def test_gamma_l2_exact():
 
 
 def test_correction_derivative_l2_linear_parts():
-    cd = correction_derivative(2, 0)
-    assert _terms(cd.resonant) == [("5", 1, 0, 1)]
-    assert _terms(cd.bounded) == [("-5", 3, 0, 0)]
+    # d/dt along u_t = -d^5 u of the unit correction for B_1 (j = 0, m = 1)
+    linear = _expand_linear(_correction_shape((1, (0,), 1), 2), 2)
+    assert _terms(t for t in linear if t.is_resonant) == [("5", 1, 0, 1)]
+    assert _terms(t for t in linear if not t.is_resonant) == [("-5", 3, 0, 0)]
 
 
 def test_cancellation_l2_closed_form():
