@@ -167,15 +167,16 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
 def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     """Samples on the m-grid of modes * w, one row per row w of weights.
 
-    Every padded spectrum-to-grid transform goes through here, in one order of
-    operations: (modes[:take] * w[:take]) * m, take = min(len(w), m//2 + 1),
-    goes to one batched irfft, which zero-pads it to m//2 + 1 modes.  The
-    energy's bits depend on that order; a batch gives each row the bits of a
-    transform of its own.  modes and weights broadcast against each other:
-    one spectrum, one per row of weights, or a stack of spectra against
-    weights of shape (rows, 1, len).  The caller guarantees every nonzero mode
-    index fits below m//2, so trimming or padding the stored half-spectrum
-    loses nothing.
+    The quadratures (functional_eval and the energy plans) transform here, in
+    one order of operations: (modes[:take] * w[:take]) * m, take = min(len(w),
+    m//2 + 1), goes to one batched irfft, which zero-pads it to m//2 + 1
+    modes.  The energy's bits depend on that order; a batch gives each row the
+    bits of a transform of its own.  The RHS plan transforms on its own, with
+    norm="forward".  modes and weights broadcast against each other: one
+    spectrum, one per row of weights, or a stack of spectra against weights
+    of shape (rows, 1, len).  The caller guarantees every nonzero mode index
+    fits below m//2, so trimming or padding the stored half-spectrum loses
+    nothing.
     """
     take = min(weights.shape[-1], m // 2 + 1)
     return np.fft.irfft(modes[..., :take] * weights[..., :take] * m, n=m)
@@ -248,12 +249,12 @@ class _Monomials:
 
     def products(self, vals: np.ndarray) -> np.ndarray:
         """sum_c c prod d^q u from the samples vals, one entry per order q."""
-        total = np.zeros(vals.shape[1:])
+        total = None
         for c, idx in self.terms:
             prod = c * vals[idx[0]]
             for i in idx[1:]:
                 prod *= vals[i]
-            total += prod
+            total = prod if total is None else np.add(total, prod, out=total)
         return total
 
 
@@ -263,8 +264,11 @@ class _PolyPlan:
     The input is truncated to the band |k| <= K = dealias*n/2; each distinct
     derivative order is transformed once onto one padded grid m, and the
     summed products come back through one rfft as the band itself, modes
-    0..take.  A stack of spectra, shape (B, len), is one batch: its samples
-    are laid out (order, batch, m) and every row keeps the bits it has alone.
+    0..take.  Both transforms take norm="forward": pocketfft applies the 1/m,
+    with no array pass of its own (bit for bit the m-scaled samples and
+    1/m-scaled spectrum when m is a power of two, roundoff apart otherwise).
+    A stack of spectra, shape (B, len), is one batch: its samples are laid
+    out (order, batch, m) and every row keeps the bits it has alone.
     A degree-d product reaches mode d*K, which folds onto m - d*K: m > (d+1)*K
     keeps every fold out of the band (the 2/3 rule at d = 2).  m is rounded
     up to a cheap FFT size and is never below n.  The plan is immutable:
@@ -287,11 +291,12 @@ class _PolyPlan:
         """Modes 0..take of p(u) for u given by its rfft-layout modes (or a stack)."""
         if self.poly.terms:
             rows = self.rows if modes.ndim == 1 else self.rows[:, None, :]
-            total = self.poly.products(_samples(modes, rows, self.m))
-            out = np.fft.rfft(total)[..., : self.take + 1] / self.m
+            vals = np.fft.irfft(modes[..., : self.take + 1] * rows, n=self.m, norm="forward")
+            out = np.fft.rfft(self.poly.products(vals), norm="forward")[..., : self.take + 1]
         else:
             out = np.zeros(modes.shape[:-1] + (self.take + 1,), dtype=np.complex128)
-        out[..., 0] += self.poly.const
+        if self.poly.const:
+            out[..., 0] += self.poly.const
         return out
 
 
@@ -532,7 +537,7 @@ class _Stepper:
             c = self.e_half * a + self.h_phi1_half * (2.0 * nb - nu)
             nc = self._nl(c)
             new = self.e_full * u + h * (self.w1 * nu + self.w2 * (na + nb) + self.w3 * nc)
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise BlowUp(f"non-finite mode at t = {t + h:.6g}", t + h)
         return new
 

@@ -169,9 +169,9 @@ def test_cancellation_l2_closed_form():
     assert (beta + gamma * SPoly.const(5)).is_zero()
 
 
-def test_cascade_empty_residue_and_diagonals():
+def test_cascade_empty_residue_and_diagonals(blueprints):
     for l in (2, 3, 4, 5):
-        bp = build_energy(l)
+        bp = blueprints[l]
         assert bp.resonant_residue == []
         assert bp.pending == []
         expected = Fraction((-1) ** (l + 1) * (2 * l + 1))
@@ -179,12 +179,12 @@ def test_cascade_empty_residue_and_diagonals():
         assert all(sr.diagonal != 0 for sr in bp.stages)
 
 
-def test_cascade_census_change_detector():
+def test_cascade_census_change_detector(blueprints):
     # sizes of the construction, frozen from a certified run; a change here
     # is not necessarily wrong but must be deliberate
     census = {}
     for l in (2, 3, 4, 5):
-        bp = build_energy(l)
+        bp = blueprints[l]
         census[l] = (
             len(bp.corrections),
             len(bp.bounded_remainder),
@@ -197,8 +197,8 @@ def test_cascade_census_change_detector():
     assert census[5] == (23, 387, 32, [(3, 4), (4, 12), (5, 5), (6, 1)])
 
 
-def test_blueprint_serialization():
-    bp = build_energy(3)
+def test_blueprint_serialization(blueprints):
+    bp = blueprints[3]
     obj = bp.to_obj()
     assert obj["l"] == 3
     assert obj["resonant_residue"] == []
@@ -263,11 +263,11 @@ _EARLY_STOP_SHA = {
 }
 
 
-def test_cascade_output_is_pinned():
+def test_cascade_output_is_pinned(blueprints):
     # every symbolic output of the cascade, byte for byte: a rewrite of the
     # construction must reproduce the terms, their coefficients and their order
     for l, (obj_sha, items_sha) in _BLUEPRINT_SHA.items():
-        bp = build_energy(l)
+        bp = blueprints[l]
         assert _sha(json.dumps(bp.to_obj(), sort_keys=True)) == obj_sha, l
         assert _sha(repr(bp.bounded_remainder + bp.markers)) == items_sha, l
     for l, sha in _QUADRATIC_SHA.items():
@@ -473,11 +473,6 @@ def test_markers_evaluate_finite():
 # ---------------------------------------------------------------------------
 # one shared quadrature per call: same bits, fixed transform count, no state
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def blueprints():
-    return {l: build_energy(l) for l in (2, 3, 4, 5)}
 
 
 def _fields(n, s):

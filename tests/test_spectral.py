@@ -11,6 +11,7 @@ from kdvlab.diffpoly import mono, sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
     _PolyPlan,
+    _samples,
     BlowUp,
     Diagnostics,
     SolverConfig,
@@ -467,6 +468,39 @@ def test_batch_step_fft_count_is_pinned(monkeypatch):
     cfg = SolverConfig(n=128, dt=1e-4, t_final=1e-4, order=4, hamiltonians=())
     solve_batch(0.1 * cosine_field(128, 1), flows, cfg)
     assert counts == {"rfft": 4, "irfft": 4}
+
+
+def test_rhs_plan_keeps_bits_on_power_of_two_grids():
+    # the plan lets pocketfft apply the 1/m of each transform; the reference
+    # scales the samples by m (through _samples) and the spectrum by 1/m in
+    # array passes.  A power-of-two scale is exact, so on a power-of-two grid
+    # the two agree bit for bit, and on any other grid to roundoff.  One field
+    # goes in as its full half-spectrum, as in eval_diffpoly; several as a
+    # stack of bands, as in the stepper
+    stack = [random_decay_field(128, decay=2.0, seed=seed, amplitude=0.1) for seed in range(10)]
+    cases = [
+        (model_flow(2), [_plan_field(64, "rough")], True),
+        (model_flow(2), [_plan_field(128, "smooth")], True),
+        (hierarchy_flow(1), [_plan_field(256, "rough")], True),
+        (hierarchy_flow(4), [_plan_field(256, "rough")], True),
+        (regularized_flow(2, 1e-2), stack, True),
+        (hierarchy_flow(2), [_plan_field(256, "rough")], False),
+        (hierarchy_flow(3), [_plan_field(1024, "rough")], False),
+    ]
+    for flow, fields, power_of_two in cases:
+        n = fields[0].n
+        plan = _PolyPlan(flow.nonlinear, n, 2.0 / 3.0)
+        m, take = plan.m, plan.take
+        assert (m & (m - 1) == 0) == power_of_two, (flow.name, n, m)
+        modes = fields[0].modes if len(fields) == 1 else np.array([f.modes[: take + 1] for f in fields])
+        rows = plan.rows if modes.ndim == 1 else plan.rows[:, None, :]
+        old = np.fft.rfft(plan.poly.products(_samples(modes, rows, m)))[..., : take + 1] / m
+        got = plan.apply(modes)
+        assert got.shape == old.shape == modes.shape[:-1] + (take + 1,)
+        if power_of_two:
+            assert np.array_equal(got, old), (flow.name, n)
+        else:
+            assert np.max(np.abs(got - old)) <= 1e-15 * np.max(np.abs(old)), (flow.name, n)
 
 
 def test_rhs_plan_is_thread_safe():
