@@ -167,11 +167,11 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
 def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     """Samples on the m-grid of modes * w, one row per row w of weights.
 
-    The quadratures (functional_eval and the energy plans) transform here, in
-    one order of operations: (modes[:take] * w[:take]) * m, take = min(len(w),
-    m//2 + 1), goes to one batched irfft, which zero-pads it to m//2 + 1
-    modes.  The energy's bits depend on that order; a batch gives each row the
-    bits of a transform of its own.  The RHS plan transforms on its own, with
+    Only the energy plans transform here, in one order of operations:
+    (modes[:take] * w[:take]) * m, take = min(len(w), m//2 + 1), goes to one
+    batched irfft, which zero-pads it to m//2 + 1 modes.  The energy's bits
+    depend on that order; a batch gives each row the bits of a transform of
+    its own.  The RHS plan and _integral transform on their own, with
     norm="forward".  modes and weights broadcast against each other: one
     spectrum, one per row of weights, or a stack of spectra against weights
     of shape (rows, 1, len).  The caller guarantees every nonzero mode index
@@ -197,6 +197,12 @@ def _product_grid(degree: int, band: int) -> int:
     # mean of a degree-d product of band-K fields is exact once m > d*K
     m = degree * band + 2
     return m + (m % 2)
+
+
+# bounded: one key per (degree, band); a solve's records reuse a handful
+@functools.lru_cache(maxsize=256)
+def _quad_grid(degree: int, band: int) -> int:
+    return _fast_size(_product_grid(degree, band))
 
 
 def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
@@ -251,8 +257,10 @@ class _Monomials:
         """sum_c c prod d^q u from the samples vals, one entry per order q."""
         total = None
         for c, idx in self.terms:
-            prod = c * vals[idx[0]]
-            for i in idx[1:]:
+            # 1.0 * v is v bit for bit, so a unit coefficient costs no pass
+            unit = c == 1.0 and len(idx) > 1
+            prod = vals[idx[0]] * vals[idx[1]] if unit else c * vals[idx[0]]
+            for i in idx[2 if unit else 1 :]:
                 prod *= vals[i]
             total = prod if total is None else np.add(total, prod, out=total)
         return total
@@ -317,21 +325,26 @@ def _padded(band: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _integral(poly: _Monomials, f: SpectralField) -> float:
-    """int poly(u, u_x, ...) dx by exact spectral quadrature (padded products)."""
+def _integral(poly: _Monomials, modes: np.ndarray, band: int) -> float:
+    """int poly(u, u_x, ...) dx for u of band K, from its modes 0..K (or more).
+
+    A degree-d product reaches mode d*K < m, so none but mode 0 folds onto 0
+    and its mean on a cheap FFT grid m is exact: one irfft (norm="forward"), one sum.
+    """
     total = poly.const
     if poly.terms:
-        band = f.band_limit()
-        m = max(_product_grid(poly.degree, band), 4)
+        m = _quad_grid(poly.degree, band)
         # a linear integrand's grid may stop below its band; only its mean counts
-        rows = _d_rows(poly.orders, min(band, m // 2) + 1)
-        total += float(np.mean(poly.products(_samples(f.modes, rows, m))))
+        take = min(band, m // 2) + 1
+        vals = np.fft.irfft(modes[:take] * _d_rows(poly.orders, take), n=m, norm="forward")
+        total += float(np.add.reduce(poly.products(vals)) / m)
     return TAU * total
 
 
 def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
-    """int p(u, u_x, ...) dx by exact spectral quadrature (padded products)."""
-    return _integral(_Monomials(e.integrand if isinstance(e, IntegralExpr) else e), f)
+    """int p(u, u_x, ...) dx by exact spectral quadrature on f's band (see _integral)."""
+    poly = _Monomials(e.integrand if isinstance(e, IntegralExpr) else e)
+    return _integral(poly, f.modes, f.band_limit())
 
 
 def mollify(f: SpectralField, eps: float, m: int = 3) -> SpectralField:
@@ -565,6 +578,8 @@ class SolverConfig:
             raise ValueError("grid size must be even and >= 16")
         if not (0.0 < self.dealias <= 1.0):
             raise ValueError("dealias fraction must lie in (0, 1]")
+        if not all(type(m) is int and m >= 0 for m in self.hamiltonians):
+            raise ValueError(f"hamiltonians must be non-negative ints, got {self.hamiltonians!r}")
 
 
 @dataclass
@@ -627,10 +642,11 @@ def solve_batch(
         states = []
         for row, diag in zip(band.reshape(len(flows), -1), diags):
             f = SpectralField(u0.n, _padded(row, u0.n))
+            top = f.band_limit()
             # a huge but finite state overflows here first: one BlowUp, no warning
             with np.errstate(over="ignore", invalid="ignore"):
                 l2 = sobolev_norm(f, 0.0)
-                values = [_integral(poly, f) for poly in hams.values()]
+                values = [_integral(poly, f.modes, top) for poly in hams.values()]
             if not all(map(math.isfinite, [l2, *values])):
                 raise BlowUp(f"non-finite diagnostics at t = {t:.6g}", t)
             diag.times.append(t)

@@ -10,7 +10,9 @@ import pytest
 from kdvlab.diffpoly import mono, sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
+    _Monomials,
     _PolyPlan,
+    _product_grid,
     _samples,
     BlowUp,
     Diagnostics,
@@ -303,6 +305,12 @@ def test_config_validation():
         SolverConfig(dealias=0.0)
 
 
+@pytest.mark.parametrize("hams", [(1.5,), ("a",), (-1,), (True,), (0, 2.0)])
+def test_config_rejects_bad_hamiltonians(hams):
+    with pytest.raises(ValueError, match="hamiltonians"):
+        SolverConfig(hamiltonians=hams)
+
+
 def test_integrator_refinement_order():
     # order-4 stepping on the KdV flow: halving dt shrinks the error ~16x
     f = 0.1 * cosine_field(64, 1)
@@ -404,6 +412,77 @@ def test_functional_eval_matches_per_monomial_quadrature(n, kind):
         assert abs(functional_eval(h, f) - ref) <= 1e-12 * scale, l
 
 
+def _exact_functional(p, f):
+    """2pi times the mean of p(u) from the full (non-circular) convolution of
+    the Fourier coefficients on k = -K..K; also the sum of |terms|."""
+    band = f.band_limit()
+    k = np.arange(-band, band + 1)
+    c = np.concatenate([np.conj(f.modes[band:0:-1]), f.modes[: band + 1]])
+    terms = []
+    for monomial in p.monomials:
+        prod = np.ones(1, dtype=np.complex128)
+        for _, q in monomial.factors:
+            prod = np.convolve(prod, c * (1j * k) ** q)
+        # prod holds modes -d*K..d*K; the mean is the middle one
+        terms.append(float(monomial.coeff) * prod[prod.size // 2].real)
+    return TAU * sum(terms), TAU * sum(abs(t) for t in terms)
+
+
+def _five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_functional_eval_is_exact_on_rounded_grids(monkeypatch):
+    # at K = 85, _product_grid gives 172, 258, 342, 428 for d = 2..5, none
+    # 5-smooth; the quadrature rounds them up and its means stay exact
+    big_k, n = 85, 256
+    assert not any(_five_smooth(_product_grid(d, big_k)) for d in (2, 3, 4, 5))
+    grids = []
+    irfft = np.fft.irfft
+
+    def recorded(*args, **kwargs):
+        grids.append(kwargs["n"])
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", recorded)
+    constant = np.zeros(n // 2 + 1, dtype=np.complex128)
+    constant[0] = 0.7
+    fields = [
+        SpectralField.zero(n),
+        SpectralField(n, constant),
+        cosine_field(n, big_k, 0.3),
+        cosine_field(n, 1) + cosine_field(n, big_k, 0.5),
+    ]
+    for f in fields:
+        for l in (0, 1, 2, 3):
+            h = level(l).hamiltonian
+            grids.clear()
+            got = functional_eval(h, f)
+            ref, scale = _exact_functional(h.integrand, f)
+            assert abs(got - ref) <= 1e-13 * scale, (l, got, ref)
+            degree = max(len(monomial.factors) for monomial in h.integrand.monomials)
+            [m] = grids
+            assert _five_smooth(m) and m > degree * f.band_limit(), (l, m)
+    # the zero field gives exactly zero, the constant its closed form
+    assert functional_eval(level(0).hamiltonian, fields[0]) == 0.0
+    assert abs(functional_eval(level(0).hamiltonian, fields[1]) - math.pi * 0.49) <= 1e-15
+
+
+def test_unit_coefficient_products_keep_bits():
+    # products skips the multiply by a unit coefficient: 1.0 * v is v bit for bit
+    vals = np.random.default_rng(3).standard_normal((2, 3, 96))
+    before = vals.copy()
+    for flow in (model_flow(2), hierarchy_flow(1)):
+        poly = _Monomials(flow.nonlinear)
+        assert poly.terms == ((1.0, (0, 1)),)
+        assert np.array_equal(poly.products(vals), (1.0 * vals[0]) * vals[1])
+        # the samples are read, never written
+        assert np.array_equal(vals, before)
+
+
 def test_rhs_plan_is_alias_free_on_an_enlarged_grid():
     # u^4 u_x with u = cos x + cos(Kx)/2 reaches mode 5K; on N = 200 the plan's
     # grid is rounded up past 6K + 2 to a 5-smooth size
@@ -468,6 +547,34 @@ def test_batch_step_fft_count_is_pinned(monkeypatch):
     cfg = SolverConfig(n=128, dt=1e-4, t_final=1e-4, order=4, hamiltonians=())
     solve_batch(0.1 * cosine_field(128, 1), flows, cfg)
     assert counts == {"rfft": 4, "irfft": 4}
+
+
+def test_record_fft_count_is_pinned(monkeypatch):
+    # a recorded Hamiltonian is one irfft of the kept band on its own grid,
+    # with no rfft and no transform shared with the march
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def call(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, call)
+    f, steps = random_decay_field(128, decay=3.0, seed=5, amplitude=0.1), 6
+
+    def run(hams):
+        counts.update(rfft=0, irfft=0)
+        cfg = SolverConfig(n=128, dt=1e-3, t_final=steps * 1e-3, hamiltonians=hams)
+        solve(f, hierarchy_flow(1), cfg)
+        return dict(counts)
+
+    with_hams, without = run((0, 1, 2)), run(())
+    # records at t = 0 and after every step
+    assert with_hams["rfft"] == without["rfft"]
+    assert with_hams["irfft"] - without["irfft"] == 3 * (steps + 1)
+    for m in (0, 1, 2):
+        counts.update(rfft=0, irfft=0)
+        functional_eval(level(m).hamiltonian, f)
+        assert counts == {"rfft": 0, "irfft": 1}, m
 
 
 def test_rhs_plan_keeps_bits_on_power_of_two_grids():
