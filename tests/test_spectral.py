@@ -1,5 +1,6 @@
 """Pseudospectral layer: fields, multipliers, quadrature, flows, stepping."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from kdvlab.hierarchy import level
 from kdvlab.spectral import (
     _Monomials,
     _PolyPlan,
+    _Stepper,
     _product_grid,
     _samples,
     BlowUp,
@@ -632,3 +634,54 @@ def test_rhs_plan_is_thread_safe():
         sys.setswitchinterval(interval)
     for got, want in zip(threaded, serial * 8):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# the march's bits against the written-out scheme
+# ---------------------------------------------------------------------------
+
+
+def _damped(flow, mu):
+    """flow with -mu k^(2l+2) added to its linear symbol: a stack member."""
+    return dataclasses.replace(flow, symbol=lambda k: flow.symbol(k) - mu * k ** (2 * flow.l + 2))
+
+
+def _written_out_advance(stepper, apply, u):
+    """One step of _Stepper.advance's expressions, each RHS from an allocating apply."""
+    if stepper.order == 2:
+        nu = apply(u)
+        a = stepper.e_full * u + stepper.h_phi1 * nu
+        na = apply(a)
+        return a + stepper.h_phi2 * (na - nu)
+    nu = apply(u)
+    eu = stepper.e_half * u
+    a = eu + stepper.h_phi1_half * nu
+    na = apply(a)
+    b = eu + stepper.h_phi1_half * na
+    nb = apply(b)
+    c = stepper.e_half * a + stepper.h_phi1_half * (2.0 * nb - nu)
+    nc = apply(c)
+    return stepper.e_full * u + stepper.dt * (stepper.w1 * nu + stepper.w2 * (na + nb) + stepper.w3 * nc)
+
+
+@pytest.mark.parametrize("members", [1, 6])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "name, n", [("model2", 64), ("model2", 128), ("hier1", 256), ("hier4", 256), ("hier3", 1024)]
+)
+def test_march_keeps_the_bits_of_the_written_out_scheme(name, n, order, members):
+    # every stage result that the final combination reads must survive the
+    # later stages' transforms: consecutive steps of the stepper equal the
+    # scheme evaluated with freshly allocated RHS arrays, bit for bit
+    flow = PLAN_FLOWS[name]
+    flows = [_damped(flow, mu) for mu in (0.0, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)[:members]]
+    stepper = _Stepper(flows, n, 1e-4, 2.0 / 3.0, order)
+    apply = _PolyPlan(flow.nonlinear, n, 2.0 / 3.0).apply
+    fields = [random_decay_field(n, decay=3.0, seed=seed, amplitude=0.1) for seed in range(members)]
+    u = np.array([f.modes[: stepper.take + 1] for f in fields]).reshape(stepper.e_full.shape)
+    want = u.copy()
+    for i in range(4):
+        u = stepper.advance(u, i * 1e-4)
+        want = _written_out_advance(stepper, apply, want)
+        assert u.shape == want.shape == stepper.e_full.shape
+        assert np.all(np.isfinite(u)) and np.array_equal(u, want), i
