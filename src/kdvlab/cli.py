@@ -97,6 +97,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
+def _destination(name: str, path: str | None) -> None:
+    """A file the run writes at its end, if any: checked before the run starts."""
+    if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ValueError(f"{name}: cannot write {path!r}: it is a directory or its directory does not exist")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
@@ -214,6 +220,8 @@ def _make_flow(cfg: dict):
 
 def _cmd_solve(args, argv) -> int:
     cfg = _resolve(SOLVE_DEFAULTS, parse_flat_config(args.config))
+    _destination("output.path", cfg["output.path"])
+    _destination("--manifest", args.manifest)
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
@@ -253,13 +261,14 @@ def _cmd_solve(args, argv) -> int:
 
 def _cmd_exp(args, argv) -> int:
     raw = parse_flat_config(args.config) if args.config else {}
+    out_dir, stem = Path(args.out), args.name.replace("-", "_")
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ValueError(f"--out: {args.out!r} is not a directory")
+    _destination("--manifest", args.manifest)
     man = RunManifest(command="kdvlab " + " ".join(argv), config={})
     result = run_experiment(args.name, raw)
     man.config = result.config
-
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = args.name.replace("-", "_")
 
     for table_name, (header, rows) in result.tables.items():
         path = out_dir / f"{stem}_{table_name}.csv"

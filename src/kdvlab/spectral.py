@@ -149,9 +149,16 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     return f.with_modes(f.modes * w)
 
 
+# (1 + k^2)^s for k = 0..n/2, read-only; bounded: a solve's records use one key
+@functools.lru_cache(maxsize=64)
+def _sobolev_weights(n: int, s: float) -> np.ndarray:
+    w = (1.0 + np.arange(n // 2 + 1, dtype=np.float64) ** 2) ** s
+    w.setflags(write=False)
+    return w
+
+
 def sobolev_norm(f: SpectralField, s: float = 0.0) -> float:
-    k = f.wavenumbers()
-    w = (1.0 + k * k) ** float(s)
+    w = _sobolev_weights(f.n, float(s))
     a2 = np.abs(f.modes) ** 2
     total = w[0] * a2[0] + 2.0 * np.sum(w[1:] * a2[1:])
     return math.sqrt(TAU * total)
@@ -279,8 +286,10 @@ class _PolyPlan:
     out (order, batch, m) and every row keeps the bits it has alone.
     A degree-d product reaches mode d*K, which folds onto m - d*K: m > (d+1)*K
     keeps every fold out of the band (the 2/3 rule at d = 2).  m is rounded
-    up to a cheap FFT size and is never below n.  The plan is immutable:
-    apply allocates its own arrays, so threads may share one.
+    up to a cheap FFT size and is never below n.  The plan is immutable and
+    threads may share one: apply allocates its arrays, or its transforms
+    write into out, a caller-owned (samples, spectrum) pair of shapes
+    (orders, [B,] m) and ([B,] m//2 + 1), and it returns a view of spectrum.
     """
 
     __slots__ = ("n", "take", "m", "poly", "rows")
@@ -295,17 +304,18 @@ class _PolyPlan:
         self.m = max(_fast_size((self.poly.degree + 1) * self.take + 1), n)
         self.rows = _d_rows(self.poly.orders, self.take + 1)
 
-    def apply(self, modes: np.ndarray) -> np.ndarray:
+    def apply(self, modes: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
         """Modes 0..take of p(u) for u given by its rfft-layout modes (or a stack)."""
+        samples, spectrum = out or (None, None)
         if self.poly.terms:
             rows = self.rows if modes.ndim == 1 else self.rows[:, None, :]
-            vals = np.fft.irfft(modes[..., : self.take + 1] * rows, n=self.m, norm="forward")
-            out = np.fft.rfft(self.poly.products(vals), norm="forward")[..., : self.take + 1]
+            vals = np.fft.irfft(modes[..., : self.take + 1] * rows, n=self.m, norm="forward", out=samples)
+            band = np.fft.rfft(self.poly.products(vals), norm="forward", out=spectrum)[..., : self.take + 1]
         else:
-            out = np.zeros(modes.shape[:-1] + (self.take + 1,), dtype=np.complex128)
+            band = np.zeros(modes.shape[:-1] + (self.take + 1,), dtype=np.complex128)
         if self.poly.const:
-            out[..., 0] += self.poly.const
-        return out
+            band[..., 0] += self.poly.const
+        return band
 
 
 def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> SpectralField:
@@ -519,6 +529,10 @@ class _Stepper:
         self.take = plan.take
         lin = np.array([flow.linear_on(n)[: plan.take + 1] for flow in flows])
         z = dt * (lin[0] if len(flows) == 1 else lin)
+        # buffers the transforms write into, so a stepper serves one thread: one samples
+        # array, used up within each RHS, and a spectrum per stage RHS the step combines
+        samples = np.empty((len(plan.poly.orders), *z.shape[:-1], plan.m))
+        self._work = [(samples, np.empty((*z.shape[:-1], plan.m // 2 + 1), np.complex128)) for _ in range(order)]
         self.e_full = np.exp(z)
         if order == 2:
             self.h_phi1 = dt * _phi(1, z)
@@ -534,21 +548,21 @@ class _Stepper:
     # an overflowing step is reported once, by its BlowUp, not also by NumPy
     @np.errstate(over="ignore", invalid="ignore")
     def advance(self, u: np.ndarray, t: float) -> np.ndarray:
-        h = self.dt
+        h, work = self.dt, self._work
         if self.order == 2:
-            nu = self._nl(u)
+            nu = self._nl(u, work[0])
             a = self.e_full * u + self.h_phi1 * nu
-            na = self._nl(a)
+            na = self._nl(a, work[1])
             new = a + self.h_phi2 * (na - nu)
         else:
-            nu = self._nl(u)
+            nu = self._nl(u, work[0])
             eu = self.e_half * u
             a = eu + self.h_phi1_half * nu
-            na = self._nl(a)
+            na = self._nl(a, work[1])
             b = eu + self.h_phi1_half * na
-            nb = self._nl(b)
+            nb = self._nl(b, work[2])
             c = self.e_half * a + self.h_phi1_half * (2.0 * nb - nu)
-            nc = self._nl(c)
+            nc = self._nl(c, work[3])
             new = self.e_full * u + h * (self.w1 * nu + self.w2 * (na + nb) + self.w3 * nc)
         if not np.isfinite(new).all():
             raise BlowUp(f"non-finite mode at t = {t + h:.6g}", t + h)

@@ -325,6 +325,49 @@ def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("a bad output destination reached the run")
+
+
+@pytest.mark.parametrize("case", ["output-dir-missing", "output-is-a-dir", "manifest-dir-missing"])
+def test_solve_checks_its_destinations_before_any_step(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "solve", _no_run)
+    out, missing = tmp_path / "run.csv", tmp_path / "missing"
+    path, argv = {
+        "output-dir-missing": (missing / "run.csv", []),
+        "output-is-a-dir": (tmp_path, []),
+        "manifest-dir-missing": (out, ["--manifest", str(missing / "m.json")]),
+    }[case]
+    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=path))
+    assert main(["solve", "--config", cfg, *argv]) == 2
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+
+@pytest.mark.parametrize("case", ["manifest-dir-missing", "manifest-is-a-dir", "out-is-a-file"])
+def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    (tmp_path / "file").write_text("kept\n")
+    argv = {
+        "manifest-dir-missing": ["--out", str(tmp_path / "out"), "--manifest", str(tmp_path / "missing" / "m.json")],
+        "manifest-is-a-dir": ["--out", str(tmp_path / "out"), "--manifest", str(tmp_path)],
+        "out-is-a-file": ["--out", str(tmp_path / "file")],
+    }[case]
+    assert main(["exp", "bona-smith", *argv]) == 2
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_exp_manifest_in_an_existing_directory(tmp_path):
+    out_dir = tmp_path / "new" / "res"
+    argv = ["exp", "bona-smith", "--out", str(out_dir), "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    man = json.loads((tmp_path / "m.json").read_text())
+    assert man["verdict"] == "PASS" and str(out_dir / "bona_smith.json") in man["outputs"]
+    assert not (out_dir / "bona_smith_manifest.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # experiments: pipeline behavior on degenerate inputs (fast settings)
 # ---------------------------------------------------------------------------

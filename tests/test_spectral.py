@@ -636,6 +636,43 @@ def test_rhs_plan_is_thread_safe():
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_concurrent_solves_are_bit_identical():
+    # every _Stepper owns its transform buffers, so solves in threads keep
+    # the bits of their serial runs, with and without recorded Hamiltonians
+    f = random_decay_field(128, decay=3.0, seed=3, amplitude=0.1)
+    ladder = [regularized_flow(2, mu) for mu in (1e-2, 5e-3, 2.5e-3)]
+
+    def cfg(order, hams):
+        return SolverConfig(n=128, dt=1e-4, t_final=3e-3, order=order, diagnostics_every=4, hamiltonians=hams)
+
+    jobs = [
+        lambda: [solve(f, hierarchy_flow(1), cfg(4, (0, 1, 2)))],
+        lambda: [solve(f, hierarchy_flow(2), cfg(4, ()))],
+        lambda: [solve(f, model_flow(2), cfg(2, (0, 1, 2)))],
+        lambda: solve_batch(f, ladder, cfg(4, (0, 1, 2))),
+    ]
+
+    def run(job):
+        return [
+            (state.modes, diag.times, diag.l2, sorted(diag.hams.items()))
+            for state, diag in job()
+        ]
+
+    serial = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(run, jobs * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial * 4):
+        assert len(got) == len(want)
+        for (modes, times, l2, hams), (ref_modes, ref_times, ref_l2, ref_hams) in zip(got, want):
+            assert np.array_equal(modes, ref_modes)
+            assert times == ref_times and l2 == ref_l2 and hams == ref_hams
+
+
 # ---------------------------------------------------------------------------
 # the march's bits against the written-out scheme
 # ---------------------------------------------------------------------------
