@@ -262,8 +262,10 @@ def _cmd_solve(args, argv) -> int:
 def _cmd_exp(args, argv) -> int:
     raw = parse_flat_config(args.config) if args.config else {}
     out_dir, stem = Path(args.out), args.name.replace("-", "_")
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ValueError(f"--out: {args.out!r} is not a directory")
+    # --out or its nearest existing ancestor must be a directory
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out: {str(existing)!r} is not a directory")
     _destination("--manifest", args.manifest)
     man = RunManifest(command="kdvlab " + " ".join(argv), config={})
     result = run_experiment(args.name, raw)

@@ -2,9 +2,9 @@
 
 modenergy builds an energy blueprint in exact arithmetic; this module turns a
 list of its items into an _EnergyPlan for one Sobolev index s and one field
-band, and evaluates every item on a field with one shared set of padded-grid
-transforms (spectral._samples).  The item classes come from modenergy, which
-imports this module, so they are imported where a plan is built.
+band, and evaluates every item on a field with a few batched transforms per
+padded grid.  The item classes come from modenergy, which imports this
+module, so they are imported where a plan is built.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import numpy as np
 from .spectral import TAU, SpectralField, _d_rows, _d_weights, _product_grid, _samples
 from .spoly import binom_s
 
-# bytes of the rows one batched step works on: enough rows to amortise a
-# transform call, few enough that one call's arrays stay under a megabyte
-_BLOCK_BYTES = 1 << 16
+# bytes of the bundle rows in one block of _EnergyPlan.apply (see its docstring)
+_BLOCK_BYTES = 1 << 17
 
 
 def _ix(rows) -> np.ndarray:
@@ -27,13 +26,14 @@ class _GridPlan:
     """The items of an _EnergyPlan on one grid m, as row indices.
 
     Rows of F: a row of ones, the factors d^q u (sigma None), d^q D^sigma u
-    and (J^{2s} - D^{2s})u (sigma "gap"), and last the tail cores, core c in
-    row -1 - c.  Rows of U: the plain products of one block of bundles, then
-    their outer derivatives.  Every integrand is (U[ia] * F[ib]) * F[ic]; the
-    norm gap's bundle is u with no outer derivative, exact since 1 * u = u.
+    and (J^{2s} - D^{2s})u (sigma "gap"), factor i in row 1 + i, and last the
+    tail cores, core c in row -1 - c, their symbols |k|^sigma held as float
+    rows.  Rows of U: the plain products of one block of bundles, then their
+    outer derivatives.  Every integrand is (U[ia] * F[ib]) * F[ic]; the norm
+    gap's bundle is u with no outer derivative, exact since 1 * u = u.
     """
 
-    __slots__ = ("m", "rows", "orders", "factors", "cores", "a_outs", "blocks")
+    __slots__ = ("m", "rows", "n_factors", "orders", "factors", "cores", "a_outs", "blocks")
 
     def __init__(self, m: int, terms, index: list[int], s: float):
         from .modenergy import NormGapTerm, PTerm
@@ -61,9 +61,9 @@ class _GridPlan:
             groups.setdefault(inner, ([fac(None, q) for q in inner], set()))[1].update([a_out] if a_out else [])
             members.append((i, inner, a_out, b, c))
 
-        self.rows = len(row) + len(cores)
+        self.rows, self.n_factors = len(row) + len(cores), len(row) - 1
         for (sigma, q), r in list(row.items())[1:]:
-            factors.setdefault(sigma, []).append((orders.setdefault(q, len(orders)), r))
+            factors.setdefault(sigma, []).append((orders.setdefault(q, len(orders)), r - 1))
         self.orders = tuple(orders)
         self.factors = [(sigma, *map(_ix, zip(*qs))) for sigma, qs in factors.items()]
         self.cores = None
@@ -71,7 +71,8 @@ class _GridPlan:
             _, first, second, sigmas, taylor = zip(*reversed(cores.values()))
             # term j of every Taylor sum, the shorter sums padded with 0 * 1 * 1
             w, low, high = np.array([tj + [(0.0, 0, 0)] * (max(map(len, taylor)) - len(tj)) for tj in taylor]).T
-            self.cores = (_ix(first), _ix(second), sigmas, w[..., None], low.astype(np.intp), high.astype(np.intp))
+            symbols = np.array([_d_weights(np.arange(m // 2 + 1.0), sigma) for sigma in sigmas])
+            self.cores = (_ix(first), _ix(second), symbols, w[..., None], low.astype(np.intp), high.astype(np.intp))
 
         self.a_outs = tuple(sorted(set().union(*(outs for _, outs in groups.values()))))
         cap, packed = max(1, _BLOCK_BYTES // (8 * m)), []
@@ -100,13 +101,16 @@ class _EnergyPlan:
     _product_grid(d, band), where the mean of its integrand's samples is
     exact.  The plan holds float(coeff(s)) * TAU per item, the tail weights
     and, per grid, row indices: nothing per field and nothing complex.  Per
-    grid, apply transforms each distinct factor once (one irfft per sigma)
-    and all tail cores together (one rfft, one irfft), then takes a block of
-    bundles at a time: their plain products, their outer derivatives (one
-    rfft, one irfft) and the means of their items' integrands.  Each row of
-    a batch goes through the operations of its item evaluated alone, in the
-    same order, so every value keeps its bits.  Immutable: threads may share
-    one.
+    grid, apply zero-pads every factor's spectrum into one array for one
+    irfft, transforms all tail cores together (one rfft, one irfft), then
+    takes about _BLOCK_BYTES of bundle rows at a time: their plain products,
+    their outer derivatives (one rfft, one irfft) and the means of their
+    items' integrands.  Of 64, 128, 256 and 512 KiB blocks, 128 ran the
+    energy workload fastest; 512 ran as slowly as 64 and raised the peak
+    allocation of a call from 0.8 to 2.4 MiB.  pocketfft transforms each row
+    of a batch as it would the row alone, and a spectrum padded here gives
+    irfft the input it pads itself, so every value keeps its bits.
+    Immutable: threads may share one.
     """
 
     __slots__ = ("items", "s", "weights", "coefs", "grids")
@@ -134,18 +138,22 @@ class _EnergyPlan:
             m = g.m
             f = np.empty((g.rows, m))
             f[0] = 1.0
-            rows = _d_rows(g.orders, min(modes.size, m // 2 + 1))
+            take = min(modes.size, m // 2 + 1)
+            rows = _d_rows(g.orders, take)
+            # every factor's spectrum, zero-padded here: one irfft for all of them
+            spectra = np.zeros((g.n_factors, m // 2 + 1), dtype=complex)
             for sigma, q, at in g.factors:
                 if sigma not in d_modes:
                     symbol = (1.0 + k * k) ** self.s - k ** (2.0 * self.s) if sigma == "gap" else _d_weights(k, sigma)
                     d_modes[sigma] = modes * symbol
-                f[at] = _samples(d_modes[sigma], rows[q], m)
+                spectra[at, :take] = d_modes[sigma][:take] * rows[q] * m
+            np.fft.irfft(spectra, n=m, out=f[1 : 1 + g.n_factors])
+            del spectra  # as large as the factor rows: freed before the blocks run
             if g.cores:
                 # each tail D^sigma(d^rho u d^high u) - sum_j w_j d^{rho+j}u D^sigma d^{high-j}u,
                 # formed in place in the last rows of F
-                first, second, sigmas, w, low, high = g.cores
-                symbols = np.array([_d_weights(np.arange(m // 2 + 1.0), sigma) for sigma in sigmas])
-                tails = slice(-len(sigmas), None)
+                first, second, symbols, w, low, high = g.cores
+                tails = slice(-len(symbols), None)
                 f[tails] = _samples(np.fft.rfft(f[first] * f[second]) / m, symbols, m)
                 for j in range(len(w)):
                     f[tails] -= w[j] * f[low[j]] * f[high[j]]

@@ -174,11 +174,13 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
 def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     """Samples on the m-grid of modes * w, one row per row w of weights.
 
-    Only the energy plans transform here, in one order of operations:
-    (modes[:take] * w[:take]) * m, take = min(len(w), m//2 + 1), goes to one
-    batched irfft, which zero-pads it to m//2 + 1 modes.  The energy's bits
-    depend on that order; a batch gives each row the bits of a transform of
-    its own.  The RHS plan and _integral transform on their own, with
+    The energy plans' tail cores and outer derivatives transform here, in
+    one order of operations: (modes[:take] * w[:take]) * m, take =
+    min(len(w), m//2 + 1), goes to one batched irfft, which zero-pads it to
+    m//2 + 1 modes.  The energy's bits depend on that order; the plans form
+    their factors' spectra the same way in a zeroed array, which gives irfft
+    the same input, and a batch gives each row the bits of a transform of its
+    own.  The RHS plan and _integral transform on their own, with
     norm="forward".  modes and weights broadcast against each other: one
     spectrum, one per row of weights, or a stack of spectra against weights
     of shape (rows, 1, len).  The caller guarantees every nonzero mode index
@@ -189,7 +191,7 @@ def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
     return np.fft.irfft(modes[..., :take] * weights[..., :take] * m, n=m)
 
 
-# bounded: E^s and dE^s/dt for l = 2..5 on N = 128 and 512 fields use 88 keys (1.7 MB)
+# bounded: E^s and dE^s/dt for l = 2..5 on N = 128 and 512 fields use 88 keys (1.71 MB)
 @functools.lru_cache(maxsize=128)
 def _d_rows(orders: tuple[int, ...], take: int) -> np.ndarray:
     """(ik)^q for k = 0..take-1, one row per order q; cached, read-only."""

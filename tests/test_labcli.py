@@ -344,7 +344,9 @@ def test_solve_checks_its_destinations_before_any_step(tmp_path, capsys, monkeyp
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
 
 
-@pytest.mark.parametrize("case", ["manifest-dir-missing", "manifest-is-a-dir", "out-is-a-file"])
+@pytest.mark.parametrize(
+    "case", ["manifest-dir-missing", "manifest-is-a-dir", "out-is-a-file", "out-under-a-file", "out-deep-under-a-file"]
+)
 def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setattr(cli, "run_experiment", _no_run)
     (tmp_path / "file").write_text("kept\n")
@@ -352,6 +354,8 @@ def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatc
         "manifest-dir-missing": ["--out", str(tmp_path / "out"), "--manifest", str(tmp_path / "missing" / "m.json")],
         "manifest-is-a-dir": ["--out", str(tmp_path / "out"), "--manifest", str(tmp_path)],
         "out-is-a-file": ["--out", str(tmp_path / "file")],
+        "out-under-a-file": ["--out", str(tmp_path / "file" / "sub")],
+        "out-deep-under-a-file": ["--out", str(tmp_path / "file" / "sub" / "deeper")],
     }[case]
     assert main(["exp", "bona-smith", *argv]) == 2
     assert _one_error_line(capsys)

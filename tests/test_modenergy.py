@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kdvlab import energyplan
 from kdvlab.modenergy import (
     CommutatorTail,
     NormGapTerm,
@@ -548,11 +549,23 @@ def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
         counts.update(rfft=0, irfft=0)
         energy_time_derivative(bp, 16, u)
         seen.append(dict(counts))
-    # per grid: one irfft per sigma for the factors and one for the norm gap,
-    # one rfft and one irfft for the tail cores and for each block of bundles;
-    # building the plan (first call) adds none, and both fields of the layer
-    # share one plan
-    assert seen[0] == seen[1] == seen[2] == {"rfft": 22, "irfft": 45}
+    # per grid: one irfft for every factor and the norm gap together, one
+    # rfft and one irfft for the tail cores and for each block of bundles
+    # with outer derivatives (about 128 KiB of rows a block); building the
+    # plan (first call) adds none, and both fields of the layer share one plan
+    assert seen[0] == seen[1] == seen[2] == {"rfft": 14, "irfft": 20}
+
+
+@pytest.mark.parametrize("block_bytes", [0, 1 << 62], ids=["one-bundle-a-block", "one-block-a-grid"])
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("l", [4, 5])
+def test_energy_values_do_not_depend_on_block_size(blueprints, monkeypatch, block_bytes, l, n):
+    # pocketfft transforms each row of a batch as it would the row alone, so
+    # how the bundles are packed into blocks moves no bit of any value
+    monkeypatch.setattr(energyplan, "_BLOCK_BYTES", block_bytes)
+    bp, s = replace(blueprints[l]), 4.0 * l - 4.0
+    for u in _fields(n, s):
+        assert (energy_time_derivative(bp, s, u), evaluate_energy(bp, s, u)) == _term_by_term(bp, s, u)
 
 
 def test_energy_evaluation_is_thread_safe(blueprints):
