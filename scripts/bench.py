@@ -38,14 +38,14 @@ SEED = 0
 PROVENANCE = ("python", "numpy", "platform", "nproc", "git_rev", "source_sha256")
 
 
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_workload(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
     """The last-line JSON of one run.py run in checkout, and its provenance."""
-    argv = ["--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
+    argv = ["--workload", workload, "--seed", str(SEED), "--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run([sys.executable, "perfbench/run.py", *argv], cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(done.returncode)
-    result = json.loads((checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    result = json.loads((checkout / ".perfbench_out" / f"{workload}-seed{SEED}-trace0.json").read_text())
     return json.loads(done.stdout.splitlines()[-1]), result["provenance"]
 
 
@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--tag: {args.tag!r} is not a file-name fragment (letters, digits, '_', '.', '-')")
 
     checkout = args.checkout.resolve()
-    runs = {w: run_workload(checkout, w, SEED, args.seconds) for w in args.workloads}
+    runs = {w: run_workload(checkout, w, args.seconds) for w in args.workloads}
     first = next(iter(runs.values()))[1]
     bench = {
         "tag": args.tag,

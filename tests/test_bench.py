@@ -18,7 +18,7 @@ def _check_schema(data: dict, workloads) -> None:
     assert set(prov) == {*bench.PROVENANCE, "checkout"}
     assert set(prov["checkout"]) == {"name", "path_sha256"} and len(prov["checkout"]["path_sha256"]) == 64
     assert isinstance(prov["nproc"], int) and prov["nproc"] >= 1
-    assert list(data["workloads"]) == list(workloads)
+    assert set(data["workloads"]) == set(workloads)
     for last in data["workloads"].values():
         assert set(last) == {"correct", "attempted", "failed", "metrics"}
         assert set(last["metrics"]) == {"setup_s", "pass_cal_ratio", "peak_rss_mib"}
