@@ -177,12 +177,32 @@ def test_model_rhs_hand_check():
     assert np.allclose(r.values(), np.sin(x) + np.cos(x) * np.sin(x), atol=1e-13)
 
 
-def test_regularized_flow_symbol():
-    flow = regularized_flow(2, mu=0.01)
-    sym_vals = flow.linear_on(64)
-    k = 5
-    expected = -((1j * k) ** 5) - 0.01 * k**6
-    assert abs(sym_vals[k] - expected) < 1e-12
+def _written_out_symbol(kind: str, l: int, mu: float, n: int) -> np.ndarray:
+    """A flow's linear symbol on modes 0..n/2, the Nyquist mode zeroed."""
+    k = np.arange(n // 2 + 1, dtype=np.float64)
+    if kind == "hierarchy":
+        sym = (1j * k) ** (2 * l + 1)
+    elif kind == "model":
+        sym = -((1j * k) ** (2 * l + 1))
+    else:
+        sym = -((1j * k) ** (2 * l + 1)) - mu * k ** (2 * l + 2)
+    sym[-1] = 0.0
+    return sym
+
+
+def test_linear_on_keeps_the_bits_of_the_written_out_symbols():
+    # every flow the lab builds, bit for bit (signed zeros included), since the
+    # stepper's phi coefficients and so every solve start from these arrays
+    flows = [("hierarchy", l, 0.0, hierarchy_flow(l)) for l in range(1, 7)]
+    flows += [("model", l, 0.0, model_flow(l)) for l in range(2, 7)]
+    flows += [("regularized", l, mu, regularized_flow(l, mu)) for l in range(2, 7) for mu in (0.0, 1e-3, 0.5)]
+    for kind, l, mu, flow in flows:
+        for n in (16, 32, 64, 128, 256, 512, 1024, 2048):
+            got, want = flow.linear_on(n), _written_out_symbol(kind, l, mu, n)
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (kind, l, mu, n)
+    # one value by hand: (5i)^5 = 3125i, so -mu k^6 - (ik)^5 at k = 5, mu = 1/2
+    assert regularized_flow(2, mu=0.5).linear_on(64)[5] == -7812.5 - 3125j
 
 
 def test_hierarchy_flow_reduces_to_kdv():
