@@ -209,6 +209,10 @@ def _make_ic(cfg: dict) -> SpectralField:
 
 def _make_flow(cfg: dict):
     kind, l = cfg["flow.kind"], cfg["flow.l"]
+    if kind in ("model", "hierarchy") and cfg["flow.mu"] != 0.0:
+        raise ValueError(f"flow.mu = {cfg['flow.mu']} needs flow.kind = regularized, got {kind!r}")
+    if kind == "hierarchy" and cfg["energy.s"] != "":
+        raise ValueError("energy.s needs flow.kind = model or regularized: E^s is built for the model flow")
     if kind == "model":
         return model_flow(l)
     if kind == "regularized":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import TAU, SpectralField, _d_rows, _d_weights, _product_grid, _samples
+from .spectral import TAU, SpectralField, _d_rows, _d_weights, _product_grid, _samples, _sobolev_weights
 from .spoly import binom_s
 
 # bytes of the bundle rows in one block of _EnergyPlan.apply (see its docstring)
@@ -143,9 +143,10 @@ class _EnergyPlan:
             # every factor's spectrum, zero-padded here: one irfft for all of them
             spectra = np.zeros((g.n_factors, m // 2 + 1), dtype=complex)
             for sigma, q, at in g.factors:
-                if sigma not in d_modes:
-                    symbol = (1.0 + k * k) ** self.s - k ** (2.0 * self.s) if sigma == "gap" else _d_weights(k, sigma)
-                    d_modes[sigma] = modes * symbol
+                if sigma == "gap" and sigma not in d_modes:
+                    d_modes[sigma] = modes * (_sobolev_weights(fieldval.n, self.s) - _d_weights(k, 2.0 * self.s))
+                elif sigma not in d_modes:
+                    d_modes[sigma] = modes * _d_weights(k, sigma)
                 spectra[at, :take] = d_modes[sigma][:take] * rows[q] * m
             np.fft.irfft(spectra, n=m, out=f[1 : 1 + g.n_factors])
             del spectra  # as large as the factor rows: freed before the blocks run

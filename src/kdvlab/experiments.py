@@ -32,6 +32,7 @@ from .spectral import (
     TAU,
     SolverConfig,
     SpectralField,
+    _sobolev_weights,
     cosine_field,
     hierarchy_flow,
     mollify,
@@ -190,7 +191,7 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
     """Distance between the mu and mu/2 regularized solutions scales like mu.
 
     Marches the dissipative flow for every mu in the ladder and its halvings
-    as one solve_batch (the flows differ only in their damping symbol), takes
+    as one solve_batch (the flows differ only in their damping), takes
     the sup over recorded times of the L^2 distance per pair as the states
     arrive, and fits the log-log slope, which must land in
     [slope_lo, slope_hi].  Each member is bit-identical to its own solve.
@@ -348,8 +349,7 @@ ENERGY_DRIFT_DEFAULTS = {
 def _raw_rate(flow, u: SpectralField, s: float) -> float:
     """d/dt of 1/2 |u|_{H^s}^2 along the flow, in mode space."""
     f = rhs_field(flow, u, dealias=1.0)
-    k = np.arange(u.modes.size, dtype=float)
-    w = (1.0 + k * k) ** s
+    w = _sobolev_weights(u.n, s)
     fac = np.full(u.modes.size, 2.0)
     fac[0] = 1.0
     return TAU * float(np.sum(w * fac * np.real(np.conj(u.modes) * f.modes)))

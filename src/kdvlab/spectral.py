@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "SolverConfig",
     "SpectralField",
     "cosine_field",
-    "custom_flow",
     "eval_diffpoly",
     "functional_eval",
     "hierarchy_flow",
@@ -138,7 +137,7 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     if kind == "D":
         w = _d_weights(k, float(sigma))
     elif kind == "J":
-        w = (1.0 + k * k) ** (float(sigma) / 2.0) + 0j
+        w = _sobolev_weights(f.n, float(sigma) / 2.0) + 0j
     elif kind == "d":
         m = int(sigma)
         if m < 0 or m != sigma:
@@ -149,7 +148,8 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     return f.with_modes(f.modes * w)
 
 
-# (1 + k^2)^s for k = 0..n/2, read-only; bounded: a solve's records use one key
+# (1 + k^2)^s for k = 0..n/2, read-only; bounded: a solve's records, an energy
+# plan's norm gap, a J multiplier and experiments._raw_rate use one key per (n, s)
 @functools.lru_cache(maxsize=64)
 def _sobolev_weights(n: int, s: float) -> np.ndarray:
     w = (1.0 + np.arange(n // 2 + 1, dtype=np.float64) ** 2) ** s
@@ -425,16 +425,21 @@ def random_decay_field(
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """u_t = (linear multiplier) u + (nonlinear differential polynomial)(u)."""
+    """u_t = (dispersion (ik)^{2l+1} - damping k^{2l+2}) u + nonlinear(u); dispersion
+    is +1 for the hierarchy and -1 for the model flow, damping is mu >= 0."""
 
     name: str
-    symbol: Callable[[np.ndarray], np.ndarray]
     nonlinear: DiffPoly | None
     l: int
+    dispersion: int
+    damping: float = 0.0
 
     def linear_on(self, n: int) -> np.ndarray:
         k = np.arange(n // 2 + 1, dtype=np.float64)
-        sym = np.asarray(self.symbol(k), dtype=np.complex128)
+        sym = (1j * k) ** (2 * self.l + 1)
+        if self.dispersion < 0:
+            sym = -sym  # not -1 * sym, which flips the sign of the k = 0 zero
+        sym = sym - self.damping * k ** (2 * self.l + 2)
         sym[-1] = 0.0
         return sym
 
@@ -443,23 +448,15 @@ def model_flow(l: int) -> FlowSpec:
     """u_t + d^{2l+1} u = u d^{2l-1} u."""
     if l < 2:
         raise ValueError("the model flow needs l >= 2")
-    nl = mono(1, [("u", 0), ("u", 2 * l - 1)])
-    return FlowSpec("model", lambda k: -((1j * k) ** (2 * l + 1)), nl, l)
+    return FlowSpec("model", mono(1, [("u", 0), ("u", 2 * l - 1)]), l, -1)
 
 
 def regularized_flow(l: int, mu: float) -> FlowSpec:
     """Model flow plus parabolic damping, Fourier symbol -mu k^{2l+2}."""
-    if l < 2:
-        raise ValueError("the model flow needs l >= 2")
+    flow = model_flow(l)
     if not (math.isfinite(mu) and mu >= 0):
         raise ValueError(f"mu must be finite and >= 0, got {mu}")
-    nl = mono(1, [("u", 0), ("u", 2 * l - 1)])
-    return FlowSpec(
-        "regularized",
-        lambda k: -((1j * k) ** (2 * l + 1)) - mu * k ** (2 * l + 2),
-        nl,
-        l,
-    )
+    return replace(flow, name="regularized", damping=mu)
 
 
 def hierarchy_flow(l: int) -> FlowSpec:
@@ -467,12 +464,7 @@ def hierarchy_flow(l: int) -> FlowSpec:
     if l < 1:
         raise ValueError("hierarchy flows need l >= 1")
     g = hierarchy.level(l).g
-    nl = total_derivative(g - mono(1, [("u", 2 * l)]))
-    return FlowSpec("hierarchy", lambda k: (1j * k) ** (2 * l + 1), nl, l)
-
-
-def custom_flow(rhs: DiffPoly, l: int = 0) -> FlowSpec:
-    return FlowSpec("custom", lambda k: np.zeros_like(k, dtype=np.complex128), rhs, l)
+    return FlowSpec("hierarchy", total_derivative(g - mono(1, [("u", 2 * l)])), l, 1)
 
 
 def rhs_field(flow: FlowSpec, f: SpectralField, dealias: float = 1.0) -> SpectralField:

@@ -310,6 +310,9 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
         "ic.amplitude = nan",
         "ic.kind = random\nic.decay = nan",
         "ic.kind = random\nic.decay = inf",
+        "flow.mu = 0.5",
+        "flow.kind = hierarchy\nflow.mu = 0.5",
+        "flow.kind = hierarchy\nenergy.s = 5",
     ],
 )
 def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
