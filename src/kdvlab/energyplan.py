@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import TAU, SpectralField, _d_rows, _d_weights, _product_grid, _samples, _sobolev_weights
+from .spectral import TAU, SpectralField, _d_rows, _d_weights, _product_grid, _sobolev_weights
 from .spoly import binom_s
 
 # bytes of the bundle rows in one block of _EnergyPlan.apply (see its docstring)
@@ -71,7 +71,7 @@ class _GridPlan:
             _, first, second, sigmas, taylor = zip(*reversed(cores.values()))
             # term j of every Taylor sum, the shorter sums padded with 0 * 1 * 1
             w, low, high = np.array([tj + [(0.0, 0, 0)] * (max(map(len, taylor)) - len(tj)) for tj in taylor]).T
-            symbols = np.array([_d_weights(np.arange(m // 2 + 1.0), sigma) for sigma in sigmas])
+            symbols = np.array([_d_weights(m, sigma) for sigma in sigmas])
             self.cores = (_ix(first), _ix(second), symbols, w[..., None], low.astype(np.intp), high.astype(np.intp))
 
         self.a_outs = tuple(sorted(set().union(*(outs for _, outs in groups.values()))))
@@ -105,11 +105,13 @@ class _EnergyPlan:
     irfft, transforms all tail cores together (one rfft, one irfft), then
     takes about _BLOCK_BYTES of bundle rows at a time: their plain products,
     their outer derivatives (one rfft, one irfft) and the means of their
-    items' integrands.  Of 64, 128, 256 and 512 KiB blocks, 128 ran the
-    energy workload fastest; 512 ran as slowly as 64 and raised the peak
-    allocation of a call from 0.8 to 2.4 MiB.  pocketfft transforms each row
-    of a batch as it would the row alone, and a spectrum padded here gives
-    irfft the input it pads itself, so every value keeps its bits.
+    items' integrands.  Every irfft writes into the plan's rows through out=,
+    from (rfft / m * symbol) * m for the tails and outer derivatives.  Of 64,
+    128, 256 and 512 KiB blocks, 128 ran the energy workload fastest; 512 ran
+    as slowly as 64 and raised the peak allocation of a call from 0.8 to 2.4
+    MiB.  pocketfft transforms each row of a batch as it would the row alone,
+    and a spectrum padded here gives irfft the input it pads itself, so every
+    value keeps its bits.
     Immutable: threads may share one.
     """
 
@@ -131,7 +133,6 @@ class _EnergyPlan:
     def apply(self, fieldval: SpectralField) -> list[float]:
         """Each item's value (without gamma), in item order."""
         modes = fieldval.modes
-        k = np.arange(modes.size, dtype=float)
         d_modes = {None: modes}
         out = np.empty(len(self.items))
         for g in self.grids:
@@ -144,9 +145,10 @@ class _EnergyPlan:
             spectra = np.zeros((g.n_factors, m // 2 + 1), dtype=complex)
             for sigma, q, at in g.factors:
                 if sigma == "gap" and sigma not in d_modes:
-                    d_modes[sigma] = modes * (_sobolev_weights(fieldval.n, self.s) - _d_weights(k, 2.0 * self.s))
+                    gap = _sobolev_weights(fieldval.n, self.s) - _d_weights(fieldval.n, 2.0 * self.s)
+                    d_modes[sigma] = modes * gap
                 elif sigma not in d_modes:
-                    d_modes[sigma] = modes * _d_weights(k, sigma)
+                    d_modes[sigma] = modes * _d_weights(fieldval.n, sigma)
                 spectra[at, :take] = d_modes[sigma][:take] * rows[q] * m
             np.fft.irfft(spectra, n=m, out=f[1 : 1 + g.n_factors])
             del spectra  # as large as the factor rows: freed before the blocks run
@@ -155,7 +157,7 @@ class _EnergyPlan:
                 # formed in place in the last rows of F
                 first, second, symbols, w, low, high = g.cores
                 tails = slice(-len(symbols), None)
-                f[tails] = _samples(np.fft.rfft(f[first] * f[second]) / m, symbols, m)
+                np.fft.irfft(np.fft.rfft(f[first] * f[second]) / m * symbols * m, n=m, out=f[tails])
                 for j in range(len(w)):
                     f[tails] -= w[j] * f[low[j]] * f[high[j]]
             d_rows = _d_rows(g.a_outs, m // 2 + 1) if g.a_outs else None
@@ -166,7 +168,7 @@ class _EnergyPlan:
                 for fr in factor_rows:
                     u[:n] *= f[fr]
                 if len(a_out):
-                    u[n:] = _samples((np.fft.rfft(u[with_d]) / m)[spectrum], d_rows[a_out], m)
+                    np.fft.irfft((np.fft.rfft(u[with_d]) / m)[spectrum] * d_rows[a_out] * m, n=m, out=u[n:])
                 u = u[ia]
                 u *= f[ib]
                 u *= f[ic]

@@ -133,16 +133,15 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     because every use here is on mean-free quantities). J: (1+k^2)^(sigma/2).
     d: (ik)^m, m = sigma a nonnegative integer.
     """
-    k = f.wavenumbers()
     if kind == "D":
-        w = _d_weights(k, float(sigma))
+        w = _d_weights(f.n, float(sigma))
     elif kind == "J":
         w = _sobolev_weights(f.n, float(sigma) / 2.0) + 0j
     elif kind == "d":
         m = int(sigma)
         if m < 0 or m != sigma:
             raise ValueError("derivative order must be a nonnegative integer")
-        w = (1j * k) ** m
+        w = (1j * f.wavenumbers()) ** m
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     return f.with_modes(f.modes * w)
@@ -171,26 +170,6 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
     return TAU * float(prod[0].real + 2.0 * np.sum(prod[1:].real))
 
 
-def _samples(modes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
-    """Samples on the m-grid of modes * w, one row per row w of weights.
-
-    The energy plans' tail cores and outer derivatives transform here, in
-    one order of operations: (modes[:take] * w[:take]) * m, take =
-    min(len(w), m//2 + 1), goes to one batched irfft, which zero-pads it to
-    m//2 + 1 modes.  The energy's bits depend on that order; the plans form
-    their factors' spectra the same way in a zeroed array, which gives irfft
-    the same input, and a batch gives each row the bits of a transform of its
-    own.  The RHS plan and _integral transform on their own, with
-    norm="forward".  modes and weights broadcast against each other: one
-    spectrum, one per row of weights, or a stack of spectra against weights
-    of shape (rows, 1, len).  The caller guarantees every nonzero mode index
-    fits below m//2, so trimming or padding the stored half-spectrum loses
-    nothing.
-    """
-    take = min(weights.shape[-1], m // 2 + 1)
-    return np.fft.irfft(modes[..., :take] * weights[..., :take] * m, n=m)
-
-
 # bounded: E^s and dE^s/dt for l = 2..5 on N = 128 and 512 fields use 88 keys (1.71 MB)
 @functools.lru_cache(maxsize=128)
 def _d_rows(orders: tuple[int, ...], take: int) -> np.ndarray:
@@ -214,11 +193,12 @@ def _quad_grid(degree: int, band: int) -> int:
     return _fast_size(_product_grid(degree, band))
 
 
-def _d_weights(k: np.ndarray, sigma: float) -> np.ndarray:
-    """|k|^sigma with the k=0 value 0 for sigma != 0 (projection convention)."""
-    w = np.zeros_like(k)
+def _d_weights(n: int, sigma: float) -> np.ndarray:
+    """|k|^sigma for k = 0..n/2, the k=0 value 0 for sigma != 0 (projection convention)."""
+    k = np.arange(n // 2 + 1, dtype=np.float64)
     if sigma == 0.0:
         return np.ones_like(k)
+    w = np.zeros_like(k)
     np.power(k, sigma, out=w, where=k > 0)
     return w
 

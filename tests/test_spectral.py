@@ -15,7 +15,6 @@ from kdvlab.spectral import (
     _PolyPlan,
     _Stepper,
     _product_grid,
-    _samples,
     BlowUp,
     Diagnostics,
     SolverConfig,
@@ -597,7 +596,7 @@ def test_record_fft_count_is_pinned(monkeypatch):
 
 def test_rhs_plan_keeps_bits_on_power_of_two_grids():
     # the plan lets pocketfft apply the 1/m of each transform; the reference
-    # scales the samples by m (through _samples) and the spectrum by 1/m in
+    # scales the samples by m and the spectrum by 1/m in
     # array passes.  A power-of-two scale is exact, so on a power-of-two grid
     # the two agree bit for bit, and on any other grid to roundoff.  One field
     # goes in as its full half-spectrum, as in eval_diffpoly; several as a
@@ -619,7 +618,7 @@ def test_rhs_plan_keeps_bits_on_power_of_two_grids():
         assert (m & (m - 1) == 0) == power_of_two, (flow.name, n, m)
         modes = fields[0].modes if len(fields) == 1 else np.array([f.modes[: take + 1] for f in fields])
         rows = plan.rows if modes.ndim == 1 else plan.rows[:, None, :]
-        old = np.fft.rfft(plan.poly.products(_samples(modes, rows, m)))[..., : take + 1] / m
+        old = np.fft.rfft(plan.poly.products(np.fft.irfft(modes[..., : take + 1] * rows * m, n=m)))[..., : take + 1] / m
         got = plan.apply(modes)
         assert got.shape == old.shape == modes.shape[:-1] + (take + 1,)
         if power_of_two:
