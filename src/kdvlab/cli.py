@@ -103,6 +103,12 @@ def _destination(name: str, path: str | None) -> None:
         raise ValueError(f"{name}: cannot write {path!r}: it is a directory or its directory does not exist")
 
 
+def _manifest_apart(manifest: str | None, written) -> None:
+    """Refuse a --manifest that resolves to a file the run writes (written(path) holds)."""
+    if manifest is not None and written(Path(manifest).resolve()):
+        raise ValueError(f"--manifest: {manifest!r} is an output of this run: give the manifest a path of its own")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
@@ -111,8 +117,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def parse_flat_config(path: str) -> dict:
-    """key = value lines; '#' comments; comma-separated values become lists."""
+    """key = value lines; '#' comments; comma-separated values become lists; a key at most once."""
     out: dict = {}
+    lines: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,6 +130,9 @@ def parse_flat_config(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if not key:
             raise ValueError(f"{path}:{lineno}: empty key")
+        if key in lines:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
         out[key] = [v.strip() for v in val.split(",")] if "," in val else val
     return out
 
@@ -133,6 +143,7 @@ def parse_flat_config(path: str) -> dict:
 
 
 def _cmd_hierarchy_gen(args, argv) -> int:
+    _destination("--out", args.out)
     lv = level(args.l)
     if args.format == "json":
         obj = level_to_obj(lv)
@@ -169,6 +180,7 @@ def _finite(name: str, value) -> float:
 def _cmd_ibp_alpha(args, argv) -> int:
     if args.l < 1:
         raise ValueError(f"--l must be at least 1, got {args.l}")
+    _destination("--out", args.out)
     table = alpha_coeffs(args.l)
     obj = {**table.to_obj(), "diagonal": str(table.diagonal)}
     verified = None
@@ -180,6 +192,7 @@ def _cmd_ibp_alpha(args, argv) -> int:
 
 
 def _cmd_energy_build(args, argv) -> int:
+    _destination("--out", args.out)
     if args.s is not None:
         _check_threshold(args.l, _finite("--s", args.s))
     bp = build_energy(args.l, max_stage=args.max_stage)
@@ -226,6 +239,7 @@ def _cmd_solve(args, argv) -> int:
     cfg = _resolve(SOLVE_DEFAULTS, parse_flat_config(args.config))
     _destination("output.path", cfg["output.path"])
     _destination("--manifest", args.manifest)
+    _manifest_apart(args.manifest, lambda p: p == Path(cfg["output.path"]).resolve())
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
@@ -271,6 +285,8 @@ def _cmd_exp(args, argv) -> int:
     if not existing.is_dir():
         raise ValueError(f"--out: {str(existing)!r} is not a directory")
     _destination("--manifest", args.manifest)
+    tables = (f"{stem}.json", f"{stem}_*.csv")
+    _manifest_apart(args.manifest, lambda p: p.parent == out_dir.resolve() and any(map(p.match, tables)))
     man = RunManifest(command="kdvlab " + " ".join(argv), config={})
     result = run_experiment(args.name, raw)
     man.config = result.config

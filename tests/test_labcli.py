@@ -46,6 +46,13 @@ output.path = {out}
 """
 
 
+def _solve_cfg(out, extra: str) -> str:
+    """SOLVE_CFG writing to out, each key set in extra's lines replacing its line there."""
+    keys = {line.partition("=")[0].strip() for line in extra.splitlines()}
+    base = [line for line in SOLVE_CFG.format(out=out).splitlines() if line.partition("=")[0].strip() not in keys]
+    return "\n".join(base + extra.splitlines()) + "\n"
+
+
 def _write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -70,6 +77,10 @@ def test_parse_flat_config(tmp_path):
 def test_parse_flat_config_rejects_malformed(tmp_path):
     p = _write(tmp_path, "bad.cfg", "just a line without equals\n")
     with pytest.raises(ValueError):
+        parse_flat_config(p)
+    # a key given twice: no silent last-one-wins
+    p = _write(tmp_path, "twice.cfg", "time.T = 0.01\ngrid.N = 64\n# comment\ntime.T = 0.02\n")
+    with pytest.raises(ValueError, match=r"twice.cfg:4: key 'time.T' given twice, on lines 1 and 4"):
         parse_flat_config(p)
 
 
@@ -224,7 +235,7 @@ def test_solve_zero_ic(tmp_path):
 
 def test_solve_zero_time_writes_the_initial_row(tmp_path):
     out = tmp_path / "run.csv"
-    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + "time.T = 0\n")
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, "time.T = 0"))
     assert main(["solve", "--config", cfg]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("0.0,")
@@ -248,7 +259,7 @@ def test_solve_flow_and_ic_kinds_match_the_library(tmp_path, line, flow, u0):
     out = tmp_path / "run.csv"
     assert main(["solve", "--config", _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out))]) == 0
     model = _csv_columns(out)
-    assert main(["solve", "--config", _write(tmp_path, "k.cfg", SOLVE_CFG.format(out=out) + line + "\n")]) == 0
+    assert main(["solve", "--config", _write(tmp_path, "k.cfg", _solve_cfg(out, line))]) == 0
     cols = _csv_columns(out)
     _, diag = solve(u0, flow, SolverConfig(n=64, dt=1e-3, t_final=0.01, diagnostics_every=5))
     expected = {"t": diag.times, "l2": diag.l2, **{f"H{m}": v for m, v in diag.hams.items()}}
@@ -262,7 +273,7 @@ def test_solve_blow_up_exits_2_with_one_line(tmp_path, capsys):
     # non-finite within a few steps; only t = 0 is recorded before that
     out = tmp_path / "run.csv"
     extra = "ic.amplitude = 100\ntime.dt = 1e-2\ntime.T = 1\ndiagnostics.every = 1000\n"
-    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + extra)
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, extra))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["solve", "--config", cfg]) == 2
@@ -317,7 +328,7 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
 )
 def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
     out = tmp_path / "run.csv"
-    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out) + line + "\n")
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, line))
     # pytest captures warnings before they reach stderr, so count them here
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -364,6 +375,59 @@ def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatc
     assert _one_error_line(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("cmd", ["solve", "exp"])
+def test_a_key_given_twice_exits_2_before_running(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.setattr(cli, "solve", _no_run)
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    line = {"solve": "time.T = 0.02", "exp": "n = 128"}[cmd]
+    cfg = _write(tmp_path, "twice.cfg", f"{line}\n{line}\n")
+    argv = ["solve", "--config", cfg] if cmd == "solve" else ["exp", "bona-smith", "--config", cfg]
+    assert main([*argv, "--out", str(tmp_path / "out")] if cmd == "exp" else argv) == 2
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["hierarchy", "gen", "--l", "3"], "level"),
+        (["ibp", "alpha", "--l", "3", "--verify"], "alpha_coeffs"),
+        (["energy", "build", "--l", "5"], "build_energy"),
+    ],
+)
+def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, work, target):
+    monkeypatch.setattr(cli, work, _no_run)
+    out = {"missing-dir": tmp_path / "missing" / "x.json", "a-directory": tmp_path}[target]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["same-path", "same-file-by-another-path"])
+def test_solve_refuses_a_manifest_on_its_csv(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "solve", _no_run)
+    (tmp_path / "sub").mkdir()
+    out = tmp_path / "run.csv"
+    manifest = {"same-path": out, "same-file-by-another-path": tmp_path / "sub" / ".." / "run.csv"}[case]
+    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out))
+    assert main(["solve", "--config", cfg, "--manifest", str(manifest)]) == 2
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg", "sub"]
+
+
+@pytest.mark.parametrize("name", ["bona_smith_growth.csv", "bona_smith_other.csv", "bona_smith.json"])
+def test_exp_refuses_a_manifest_on_its_outputs(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / name).write_text("kept\n")
+    assert main(["exp", "bona-smith", "--out", str(out), "--manifest", str(out / name)]) == 2
+    assert _one_error_line(capsys)
+    assert [p.name for p in out.iterdir()] == [name]
+    assert (out / name).read_text() == "kept\n"
 
 
 def test_exp_manifest_in_an_existing_directory(tmp_path):
