@@ -343,7 +343,11 @@ def _no_run(*args, **kwargs):
     raise AssertionError("a bad output destination reached the run")
 
 
-@pytest.mark.parametrize("case", ["output-dir-missing", "output-is-a-dir", "manifest-dir-missing"])
+@pytest.mark.parametrize(
+    "case",
+    ["output-dir-missing", "output-is-a-dir", "manifest-dir-missing", "manifest-is-the-output",
+     "manifest-is-the-output-by-another-path"],
+)
 def test_solve_checks_its_destinations_before_any_step(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setattr(cli, "solve", _no_run)
     out, missing = tmp_path / "run.csv", tmp_path / "missing"
@@ -351,6 +355,8 @@ def test_solve_checks_its_destinations_before_any_step(tmp_path, capsys, monkeyp
         "output-dir-missing": (missing / "run.csv", []),
         "output-is-a-dir": (tmp_path, []),
         "manifest-dir-missing": (out, ["--manifest", str(missing / "m.json")]),
+        "manifest-is-the-output": (out, ["--manifest", str(out)]),
+        "manifest-is-the-output-by-another-path": (out, ["--manifest", f"{tmp_path}/../{tmp_path.name}/run.csv"]),
     }[case]
     cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=path))
     assert main(["solve", "--config", cfg, *argv]) == 2
@@ -359,7 +365,9 @@ def test_solve_checks_its_destinations_before_any_step(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
-    "case", ["manifest-dir-missing", "manifest-is-a-dir", "out-is-a-file", "out-under-a-file", "out-deep-under-a-file"]
+    "case",
+    ["manifest-dir-missing", "manifest-is-a-dir", "out-is-a-file", "out-under-a-file", "out-deep-under-a-file",
+     "manifest-is-a-table", "manifest-is-the-result"],
 )
 def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatch, case):
     monkeypatch.setattr(cli, "run_experiment", _no_run)
@@ -370,6 +378,8 @@ def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatc
         "out-is-a-file": ["--out", str(tmp_path / "file")],
         "out-under-a-file": ["--out", str(tmp_path / "file" / "sub")],
         "out-deep-under-a-file": ["--out", str(tmp_path / "file" / "sub" / "deeper")],
+        "manifest-is-a-table": ["--out", str(tmp_path), "--manifest", str(tmp_path / "bona_smith_growth.csv")],
+        "manifest-is-the-result": ["--out", str(tmp_path), "--manifest", f"{tmp_path}/../{tmp_path.name}/bona_smith.json"],
     }[case]
     assert main(["exp", "bona-smith", *argv]) == 2
     assert _one_error_line(capsys)
@@ -377,14 +387,13 @@ def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatc
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("cmd", ["solve", "exp"])
-def test_a_key_given_twice_exits_2_before_running(tmp_path, capsys, monkeypatch, cmd):
+@pytest.mark.parametrize("cmd, line", [("solve", "time.T = 0.02"), ("exp", "n = 128")])
+def test_a_key_given_twice_exits_2_before_running(tmp_path, capsys, monkeypatch, cmd, line):
     monkeypatch.setattr(cli, "solve", _no_run)
     monkeypatch.setattr(cli, "run_experiment", _no_run)
-    line = {"solve": "time.T = 0.02", "exp": "n = 128"}[cmd]
     cfg = _write(tmp_path, "twice.cfg", f"{line}\n{line}\n")
-    argv = ["solve", "--config", cfg] if cmd == "solve" else ["exp", "bona-smith", "--config", cfg]
-    assert main([*argv, "--out", str(tmp_path / "out")] if cmd == "exp" else argv) == 2
+    argv = {"solve": ["solve"], "exp": ["exp", "bona-smith", "--out", str(tmp_path / "out")]}[cmd]
+    assert main([*argv, "--config", cfg]) == 2
     assert _one_error_line(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
 
@@ -397,6 +406,7 @@ def test_a_key_given_twice_exits_2_before_running(tmp_path, capsys, monkeypatch,
         (["ibp", "alpha", "--l", "3", "--verify"], "alpha_coeffs"),
         (["energy", "build", "--l", "5"], "build_energy"),
     ],
+    ids=["hierarchy-gen", "ibp-alpha", "energy-build"],
 )
 def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, work, target):
     monkeypatch.setattr(cli, work, _no_run)
@@ -404,30 +414,6 @@ def test_out_is_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, wor
     assert main([*argv, "--out", str(out)]) == 2
     assert _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("case", ["same-path", "same-file-by-another-path"])
-def test_solve_refuses_a_manifest_on_its_csv(tmp_path, capsys, monkeypatch, case):
-    monkeypatch.setattr(cli, "solve", _no_run)
-    (tmp_path / "sub").mkdir()
-    out = tmp_path / "run.csv"
-    manifest = {"same-path": out, "same-file-by-another-path": tmp_path / "sub" / ".." / "run.csv"}[case]
-    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=out))
-    assert main(["solve", "--config", cfg, "--manifest", str(manifest)]) == 2
-    assert _one_error_line(capsys)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg", "sub"]
-
-
-@pytest.mark.parametrize("name", ["bona_smith_growth.csv", "bona_smith_other.csv", "bona_smith.json"])
-def test_exp_refuses_a_manifest_on_its_outputs(tmp_path, capsys, monkeypatch, name):
-    monkeypatch.setattr(cli, "run_experiment", _no_run)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / name).write_text("kept\n")
-    assert main(["exp", "bona-smith", "--out", str(out), "--manifest", str(out / name)]) == 2
-    assert _one_error_line(capsys)
-    assert [p.name for p in out.iterdir()] == [name]
-    assert (out / name).read_text() == "kept\n"
 
 
 def test_exp_manifest_in_an_existing_directory(tmp_path):
