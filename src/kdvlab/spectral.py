@@ -157,10 +157,19 @@ def _sobolev_weights(n: int, s: float) -> np.ndarray:
 
 
 def sobolev_norm(f: SpectralField, s: float = 0.0) -> float:
-    w = _sobolev_weights(f.n, float(s))
-    a2 = np.abs(f.modes) ** 2
-    total = w[0] * a2[0] + 2.0 * np.sum(w[1:] * a2[1:])
-    return math.sqrt(TAU * total)
+    return float(_sobolev_norms(f.modes[None, :], f.n, s)[0])
+
+
+def _sobolev_norms(rows: np.ndarray, n: int, s: float) -> np.ndarray:
+    """The H^s norm of each n-grid field of a stack, given by its modes 0..len-1 (zero above).
+
+    |modes|^2 is summed over the whole half-spectrum, zeros included: the
+    grouping of a pairwise sum, and so its bits, depends on the length.
+    """
+    w = _sobolev_weights(n, float(s))
+    a2 = np.zeros((len(rows), n // 2 + 1))
+    np.square(np.abs(rows), out=a2[:, : rows.shape[1]])
+    return np.sqrt(TAU * (w[0] * a2[:, 0] + 2.0 * np.add.reduce(w[1:] * a2[:, 1:], axis=1)))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -269,9 +278,12 @@ class _PolyPlan:
     A degree-d product reaches mode d*K, which folds onto m - d*K: m > (d+1)*K
     keeps every fold out of the band (the 2/3 rule at d = 2).  m is rounded
     up to a cheap FFT size and is never below n.  The plan is immutable and
-    threads may share one: apply allocates its arrays, or its transforms
-    write into out, a caller-owned (samples, spectrum) pair of shapes
-    (orders, [B,] m) and ([B,] m//2 + 1), and it returns a view of spectrum.
+    threads may share one: apply allocates its arrays, or it works in out, a
+    caller-owned (samples, spectrum, padded) triple of shapes (orders, [B,] m),
+    ([B,] m//2 + 1) and (orders, [B,] m//2 + 1), and returns a view of
+    spectrum.  padded must be zero above mode take: the derivative spectra are
+    written into its modes 0..take, so the irfft pads nothing itself (NumPy
+    zero-pads a batch more slowly than it transforms a padded one).
     """
 
     __slots__ = ("n", "take", "m", "poly", "rows")
@@ -286,12 +298,16 @@ class _PolyPlan:
         self.m = max(_fast_size((self.poly.degree + 1) * self.take + 1), n)
         self.rows = _d_rows(self.poly.orders, self.take + 1)
 
-    def apply(self, modes: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    def apply(self, modes: np.ndarray, out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
         """Modes 0..take of p(u) for u given by its rfft-layout modes (or a stack)."""
-        samples, spectrum = out or (None, None)
+        samples, spectrum, padded = out or (None, None, None)
         if self.poly.terms:
             rows = self.rows if modes.ndim == 1 else self.rows[:, None, :]
-            vals = np.fft.irfft(modes[..., : self.take + 1] * rows, n=self.m, norm="forward", out=samples)
+            if padded is None:
+                padded = modes[..., : self.take + 1] * rows
+            else:
+                np.multiply(modes[..., : self.take + 1], rows, out=padded[..., : self.take + 1])
+            vals = np.fft.irfft(padded, n=self.m, norm="forward", out=samples)
             band = np.fft.rfft(self.poly.products(vals), norm="forward", out=spectrum)[..., : self.take + 1]
         else:
             band = np.zeros(modes.shape[:-1] + (self.take + 1,), dtype=np.complex128)
@@ -317,26 +333,56 @@ def _padded(band: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _integral(poly: _Monomials, modes: np.ndarray, band: int) -> float:
-    """int poly(u, u_x, ...) dx for u of band K, from its modes 0..K (or more).
+def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
+    """int poly(u, u_x, ...) dx for each u of band K in a stack, from its modes 0..K (or more).
 
     A degree-d product reaches mode d*K < m, so none but mode 0 folds onto 0
-    and its mean on a cheap FFT grid m is exact: one irfft (norm="forward"), one sum.
+    and its mean on a cheap FFT grid m is exact: one irfft (norm="forward") of
+    the stack, one row-wise sum.  pocketfft transforms each row of a batch as
+    it would that row alone, and a sum along the contiguous last axis is the
+    row's own pairwise sum, so a row's value does not depend on the stack.
     """
-    total = poly.const
-    if poly.terms:
-        m = _quad_grid(poly.degree, band)
-        # a linear integrand's grid may stop below its band; only its mean counts
-        take = min(band, m // 2) + 1
-        vals = np.fft.irfft(modes[:take] * _d_rows(poly.orders, take), n=m, norm="forward")
-        total += float(np.add.reduce(poly.products(vals)) / m)
-    return TAU * total
+    if not poly.terms:
+        return np.full(len(rows), TAU * poly.const)
+    m = _quad_grid(poly.degree, band)
+    # a linear integrand's grid may stop below its band; only its mean counts
+    take = min(band, m // 2) + 1
+    spectra = np.zeros((len(poly.orders), len(rows), m // 2 + 1), np.complex128)
+    np.multiply(rows[:, :take], _d_rows(poly.orders, take)[:, None, :], out=spectra[..., :take])
+    vals = np.fft.irfft(spectra, n=m, norm="forward")
+    return TAU * (poly.const + np.add.reduce(poly.products(vals), axis=-1) / m)
 
 
 def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
-    """int p(u, u_x, ...) dx by exact spectral quadrature on f's band (see _integral)."""
+    """int p(u, u_x, ...) dx by exact spectral quadrature on f's band (see _integrals)."""
     poly = _Monomials(e.integrand if isinstance(e, IntegralExpr) else e)
-    return _integral(poly, f.modes, f.band_limit())
+    return float(_integrals(poly, f.modes[None, :], f.band_limit())[0])
+
+
+# a huge but finite state overflows here first: one BlowUp, no warning
+@np.errstate(over="ignore", invalid="ignore")
+def _record_values(rows: np.ndarray, n: int, polys: Sequence[_Monomials]) -> np.ndarray:
+    """[sobolev_norm(f, 0), functional_eval(p, f) for p in polys] for the field f of each row.
+
+    rows is a stack of kept bands of n-grid fields; the imaginary part of its
+    mode 0 is dropped in place, as SpectralField does.  Rows are grouped by
+    band, so each group is one transform per integrand.
+    """
+    rows[:, 0] = rows[:, 0].real
+    out = np.empty((len(rows), 1 + len(polys)))
+    out[:, 0] = _sobolev_norms(rows, n, 0.0)
+    # each row's band, as band_limit finds it: its last nonzero mode, or 0
+    nonzero = np.abs(rows) > 0.0
+    nonzero[:, 0] = True
+    tops = (rows.shape[1] - 1) - np.argmax(nonzero[:, ::-1], axis=1)
+    groups: dict[int, list[int]] = {}
+    for i, top in enumerate(tops.tolist()):
+        groups.setdefault(top, []).append(i)
+    for top, idx in groups.items():
+        group, idx = (rows, slice(None)) if len(idx) == len(rows) else (rows[idx], idx)
+        for j, poly in enumerate(polys, 1):
+            out[idx, j] = _integrals(poly, group, top)
+    return out
 
 
 def mollify(f: SpectralField, eps: float, m: int = 3) -> SpectralField:
@@ -503,10 +549,13 @@ class _Stepper:
         self.take = plan.take
         lin = np.array([flow.linear_on(n)[: plan.take + 1] for flow in flows])
         z = dt * (lin[0] if len(flows) == 1 else lin)
-        # buffers the transforms write into, so a stepper serves one thread: one samples
-        # array, used up within each RHS, and a spectrum per stage RHS the step combines
-        samples = np.empty((len(plan.poly.orders), *z.shape[:-1], plan.m))
-        self._work = [(samples, np.empty((*z.shape[:-1], plan.m // 2 + 1), np.complex128)) for _ in range(order)]
+        # buffers the transforms work in, so a stepper serves one thread: one samples
+        # and one zero-padded input array, used up within each RHS, and a spectrum
+        # per stage RHS the step combines
+        batch, half = z.shape[:-1], plan.m // 2 + 1
+        samples = np.empty((len(plan.poly.orders), *batch, plan.m))
+        padded = np.zeros((len(plan.poly.orders), *batch, half), np.complex128)
+        self._work = [(samples, np.empty((*batch, half), np.complex128), padded) for _ in range(order)]
         self.e_full = np.exp(z)
         if order == 2:
             self.h_phi1 = dt * _phi(1, z)
@@ -598,6 +647,15 @@ def solve(
     return solve_batch(u0, [flow], cfg, watch)[0]
 
 
+# bytes of the widest array that one chunk of recorded states fills (see
+# solve_batch).  Sweep over the 151 states of hierarchy_flow(1), N = 256, with
+# H0..H2 (1440 floats a state; medians of 11): 4-16 KiB (one state a chunk)
+# 24 ms, 32 KiB 15 ms, 64 KiB 8.2 ms, 128 KiB 5.7 ms, 256 KiB 4.6 ms.  From
+# 128 KiB on, the chunk's arrays raised the peak resident set of a
+# stepping benchmark run at equal work by about 0.1 MiB; 64 KiB did not.
+_RECORD_BYTES = 1 << 16
+
+
 def solve_batch(
     u0: SpectralField,
     flows: Sequence[FlowSpec],
@@ -613,6 +671,11 @@ def solve_batch(
     alone.  observe, if given, is called once per recorded time with the list
     of member states, after their norms and Hamiltonians are stored.  A
     non-finite mode, norm or Hamiltonian in any member raises BlowUp.
+
+    Without observe, recorded states wait in a chunk of about _RECORD_BYTES
+    and are evaluated together (_record_values); with observe a chunk is one
+    state.  A BlowUp from the stepper first evaluates the pending states, so
+    an earlier non-finite norm or Hamiltonian is the one reported.
     """
     flows = list(flows)
     if not flows:
@@ -625,32 +688,45 @@ def solve_batch(
     stepper = _Stepper(flows, u0.n, cfg.dt, cfg.dealias, cfg.order)
     hams = {m: _Monomials(hierarchy.level(m).hamiltonian.integrand) for m in cfg.hamiltonians}
     diags = [Diagnostics(hams={m: [] for m in cfg.hamiltonians}) for _ in flows]
+    # floats of the widest array one recorded state fills: its |modes|^2 row or
+    # a Hamiltonian's samples on the march's band
+    widest = max([u0.n // 2] + [len(p.orders) * _quad_grid(p.degree, stepper.take) for p in hams.values()])
+    per = 1 if observe is not None else max(1, _RECORD_BYTES // (8 * len(flows) * widest))
+    pending: list[tuple[float, np.ndarray]] = []
 
-    def record(t: float, band: np.ndarray) -> list[SpectralField]:
-        states = []
-        for row, diag in zip(band.reshape(len(flows), -1), diags):
-            f = SpectralField(u0.n, _padded(row, u0.n))
-            top = f.band_limit()
-            # a huge but finite state overflows here first: one BlowUp, no warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                l2 = sobolev_norm(f, 0.0)
-                values = [_integral(poly, f.modes, top) for poly in hams.values()]
-            if not all(map(math.isfinite, [l2, *values])):
+    def flush():
+        if not pending:
+            return
+        ts, bands = zip(*pending)
+        pending.clear()
+        rows = np.array(bands).reshape(len(ts) * len(flows), -1)
+        values = _record_values(rows, u0.n, list(hams.values())).reshape(len(ts), len(flows), -1)
+        for t, members in zip(ts, values.tolist()):
+            if not all(math.isfinite(v) for row in members for v in row):
                 raise BlowUp(f"non-finite diagnostics at t = {t:.6g}", t)
-            diag.times.append(t)
-            diag.l2.append(l2)
-            for m, value in zip(hams, values):
-                diag.hams[m].append(value)
-            states.append(f)
+            for (l2, *hs), diag in zip(members, diags):
+                diag.times.append(t)
+                diag.l2.append(l2)
+                for m, value in zip(hams, hs):
+                    diag.hams[m].append(value)
         if observe is not None:
-            observe(states)
-        return states
+            observe([SpectralField(u0.n, _padded(row, u0.n)) for row in rows])
+
+    def record(t: float, band: np.ndarray):
+        # advance returns a new array, so a pending band is never overwritten
+        pending.append((t, band))
+        if len(pending) == per:
+            flush()
 
     # the kept band of u0, one row per flow (1-D for a single flow)
     modes = np.array(np.broadcast_to(u0.modes[: stepper.take + 1], stepper.e_full.shape))
-    states = record(0.0, modes)
-    for i in range(n_steps):
-        modes = stepper.advance(modes, i * cfg.dt)
-        if (i + 1) % cfg.diagnostics_every == 0 or i + 1 == n_steps:
-            states = record((i + 1) * cfg.dt, modes)
+    try:
+        record(0.0, modes)
+        for i in range(n_steps):
+            modes = stepper.advance(modes, i * cfg.dt)
+            if (i + 1) % cfg.diagnostics_every == 0 or i + 1 == n_steps:
+                record((i + 1) * cfg.dt, modes)
+    finally:
+        flush()
+    states = [SpectralField(u0.n, _padded(row, u0.n)) for row in modes.reshape(len(flows), -1)]
     return list(zip(states, diags))

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from kdvlab import spectral
 from kdvlab.diffpoly import sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
@@ -567,8 +568,9 @@ def test_batch_step_fft_count_is_pinned(monkeypatch):
 
 
 def test_record_fft_count_is_pinned(monkeypatch):
-    # a recorded Hamiltonian is one irfft of the kept band on its own grid,
-    # with no rfft and no transform shared with the march
+    # a recorded Hamiltonian is one irfft of a chunk of kept bands on its own
+    # grid, with no rfft and no transform shared with the march: the seven
+    # states of this run share one band and fit one chunk
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
         def call(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
@@ -585,13 +587,69 @@ def test_record_fft_count_is_pinned(monkeypatch):
         return dict(counts)
 
     with_hams, without = run((0, 1, 2)), run(())
-    # records at t = 0 and after every step
+    # records at t = 0 and after every step, one chunk
     assert with_hams["rfft"] == without["rfft"]
-    assert with_hams["irfft"] - without["irfft"] == 3 * (steps + 1)
+    assert with_hams["irfft"] - without["irfft"] == 3
     for m in (0, 1, 2):
         counts.update(rfft=0, irfft=0)
         functional_eval(level(m).hamiltonian, f)
         assert counts == {"rfft": 0, "irfft": 1}, m
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("name", ["hier1", "hier2", "hier3", "hier4", "model2", "stack6"])
+def test_chunked_records_keep_the_bits_of_single_records(monkeypatch, name, order, every):
+    # without observe the recorded states are evaluated a chunk at a time,
+    # grouped by band; with observe one state at a time.  The start's band (2)
+    # is narrower than the march's, so the first chunk holds several bands,
+    # and every run spans several chunks with a partial last one
+    if name == "stack6":
+        flows = [regularized_flow(2, mu) for mu in (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4, 0.0)]
+    else:
+        flows = [PLAN_FLOWS[name]]
+    f = random_decay_field(64, decay=3.0, seed=9, amplitude=0.1, kmax=2)
+    steps = 330 if every == 7 else 51
+    cfg = SolverConfig(n=64, dt=1e-5, t_final=steps * 1e-5, order=order, diagnostics_every=every,
+                       hamiltonians=(0, 1, 2))
+    chunks = []
+
+    def spy(rows, *args):
+        chunks.append(len(rows) // len(flows))
+        return record_values(rows, *args)
+
+    record_values = spectral._record_values
+    monkeypatch.setattr(spectral, "_record_values", spy)
+    chunked = solve_batch(f, flows, cfg)
+    assert len(chunks) > 2 and chunks[-1] < chunks[0], chunks
+    chunks.clear()
+    single = solve_batch(f, flows, cfg, lambda states: None)
+    assert set(chunks) == {1}
+    for (state, diag), (ref, ref_diag) in zip(chunked, single):
+        assert np.array_equal(state.modes, ref.modes)
+        assert diag.times == ref_diag.times and diag.l2 == ref_diag.l2 and diag.hams == ref_diag.hams
+        assert len(diag.times) == 1 + -(-steps // every)
+        assert all(math.isfinite(v) for values in diag.hams.values() for v in values)
+
+
+def test_chunked_records_report_the_first_non_finite_diagnostic():
+    # at amplitude 1e8 the state after one step is finite but its H2
+    # overflows; the stepper raises a few steps later, inside the same chunk.
+    # The pending records are evaluated first, so the report is the one a
+    # state-at-a-time solve gives
+    f = 1e8 * cosine_field(64, 1)
+    cfg = SolverConfig(n=64, dt=1e-2, t_final=1.0, hamiltonians=(0, 1, 2))
+    caught = []
+    for observe in (None, lambda states: None):
+        with np.errstate(all="raise"), pytest.raises(BlowUp) as info:
+            solve_batch(f, [model_flow(2)], cfg, observe)
+        caught.append(info.value)
+    chunked, single = caught
+    assert type(chunked) is type(single) is BlowUp
+    assert str(chunked) == str(single) == "non-finite diagnostics at t = 0.01"
+    assert chunked.time == single.time == 0.01
+    # the stepper's own BlowUp came first, mid-chunk
+    assert isinstance(chunked.__context__, BlowUp) and "non-finite mode" in str(chunked.__context__)
 
 
 def test_rhs_plan_keeps_bits_on_power_of_two_grids():
