@@ -103,10 +103,10 @@ def _destination(name: str, path: str | None) -> None:
         raise ValueError(f"{name}: cannot write {path!r}: it is a directory or its directory does not exist")
 
 
-def _manifest_apart(manifest: str | None, written) -> None:
-    """Refuse a --manifest that resolves to a file the run writes (written(path) holds)."""
-    if manifest is not None and written(Path(manifest).resolve()):
-        raise ValueError(f"--manifest: {manifest!r} is an output of this run: give the manifest a path of its own")
+def _apart(name: str, path: str | None, taken) -> None:
+    """Refuse a path that resolves to another file of the run (taken(resolved path) holds)."""
+    if path is not None and taken(Path(path).resolve()):
+        raise ValueError(f"{name}: {path!r} is also --config or an output of this run: give each file its own path")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -237,9 +237,11 @@ def _make_flow(cfg: dict):
 
 def _cmd_solve(args, argv) -> int:
     cfg = _resolve(SOLVE_DEFAULTS, parse_flat_config(args.config))
+    config, out = Path(args.config).resolve(), Path(cfg["output.path"]).resolve()
     _destination("output.path", cfg["output.path"])
     _destination("--manifest", args.manifest)
-    _manifest_apart(args.manifest, lambda p: p == Path(cfg["output.path"]).resolve())
+    _apart("output.path", cfg["output.path"], lambda p: p == config)
+    _apart("--manifest", args.manifest, lambda p: p in (config, out))
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
@@ -262,7 +264,8 @@ def _cmd_solve(args, argv) -> int:
         n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],
         order=cfg["integrator.order"], diagnostics_every=cfg["diagnostics.every"],
     )
-    _, diag = solve(u0, flow, sc, observe)
+    # without an extra column the solve records its states a chunk at a time
+    _, diag = solve(u0, flow, sc, observe if extra else None)
     cols.update(t=diag.times, l2=diag.l2, **{f"H{m}": v for m, v in diag.hams.items()})
 
     out_path = Path(cfg["output.path"])
@@ -285,8 +288,14 @@ def _cmd_exp(args, argv) -> int:
     if not existing.is_dir():
         raise ValueError(f"--out: {str(existing)!r} is not a directory")
     _destination("--manifest", args.manifest)
-    tables = (f"{stem}.json", f"{stem}_*.csv")
-    _manifest_apart(args.manifest, lambda p: p.parent == out_dir.resolve() and any(map(p.match, tables)))
+    tables = (f"{stem}.json", f"{stem}_*.csv") + (() if args.manifest else (f"{stem}_manifest.json",))
+
+    def written(p: Path) -> bool:
+        return p.parent == out_dir.resolve() and any(map(p.match, tables))
+
+    config = args.config and Path(args.config).resolve()
+    _apart("--manifest", args.manifest, lambda p: written(p) or p == config)
+    _apart("--config", args.config, written)
     man = RunManifest(command="kdvlab " + " ".join(argv), config={})
     result = run_experiment(args.name, raw)
     man.config = result.config

@@ -387,6 +387,39 @@ def test_exp_checks_its_destinations_before_running(tmp_path, capsys, monkeypatc
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("case", ["output-is-the-config", "manifest-is-the-config"])
+def test_solve_refuses_an_output_over_its_config(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setattr(cli, "solve", _no_run)
+    cfg = tmp_path / "s.cfg"
+    out, argv = {
+        "output-is-the-config": (f"{tmp_path}/../{tmp_path.name}/s.cfg", []),
+        "manifest-is-the-config": (tmp_path / "run.csv", ["--manifest", str(cfg)]),
+    }[case]
+    text = SOLVE_CFG.format(out=out)
+    cfg.write_text(text)
+    assert main(["solve", "--config", str(cfg), *argv]) == 2
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+    assert cfg.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "case, name",
+    [("manifest-is-the-config", "e.cfg"), ("result-is-the-config", "bona_smith.json"),
+     ("table-is-the-config", "bona_smith_growth.csv"), ("default-manifest-is-the-config", "bona_smith_manifest.json")],
+)
+def test_exp_refuses_an_output_over_its_config(tmp_path, capsys, monkeypatch, case, name):
+    monkeypatch.setattr(cli, "run_experiment", _no_run)
+    cfg = tmp_path / name
+    cfg.write_text("n = 128\n")
+    argv = ["--out", str(tmp_path / "out"), "--manifest", str(cfg)] if case == "manifest-is-the-config" else [
+        "--out", f"{tmp_path}/../{tmp_path.name}"]
+    assert main(["exp", "bona-smith", "--config", str(cfg), *argv]) == 2
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+    assert cfg.read_text() == "n = 128\n"
+
+
 @pytest.mark.parametrize("cmd, line", [("solve", "time.T = 0.02"), ("exp", "n = 128")])
 def test_a_key_given_twice_exits_2_before_running(tmp_path, capsys, monkeypatch, cmd, line):
     monkeypatch.setattr(cli, "solve", _no_run)
