@@ -374,10 +374,9 @@ def _record_values(rows: np.ndarray, n: int, polys: Sequence[_Monomials]) -> np.
     # each row's band, as band_limit finds it: its last nonzero mode, or 0
     nonzero = np.abs(rows) > 0.0
     nonzero[:, 0] = True
-    tops = (rows.shape[1] - 1) - np.argmax(nonzero[:, ::-1], axis=1)
     groups: dict[int, list[int]] = {}
-    for i, top in enumerate(tops.tolist()):
-        groups.setdefault(top, []).append(i)
+    for i, row in enumerate(nonzero):
+        groups.setdefault(int(np.nonzero(row)[0][-1]), []).append(i)
     for top, idx in groups.items():
         group, idx = (rows, slice(None)) if len(idx) == len(rows) else (rows[idx], idx)
         for j, poly in enumerate(polys, 1):
