@@ -378,7 +378,7 @@ def _record_values(rows: np.ndarray, n: int, polys: Sequence[_Monomials]) -> np.
     for i, row in enumerate(nonzero):
         groups.setdefault(int(np.nonzero(row)[0][-1]), []).append(i)
     for top, idx in groups.items():
-        group, idx = (rows, slice(None)) if len(idx) == len(rows) else (rows[idx], idx)
+        group = rows[idx]
         for j, poly in enumerate(polys, 1):
             out[idx, j] = _integrals(poly, group, top)
     return out
