@@ -157,19 +157,14 @@ def _sobolev_weights(n: int, s: float) -> np.ndarray:
 
 
 def sobolev_norm(f: SpectralField, s: float = 0.0) -> float:
-    return float(_sobolev_norms(f.modes[None, :], f.n, s)[0])
+    return float(_sobolev_norms(f.modes, s))
 
 
-def _sobolev_norms(rows: np.ndarray, n: int, s: float) -> np.ndarray:
-    """The H^s norm of each n-grid field of a stack, given by its modes 0..len-1 (zero above).
-
-    |modes|^2 is summed over the whole half-spectrum, zeros included: the
-    grouping of a pairwise sum, and so its bits, depends on the length.
-    """
-    w = _sobolev_weights(n, float(s))
-    a2 = np.zeros((len(rows), n // 2 + 1))
-    np.square(np.abs(rows), out=a2[:, : rows.shape[1]])
-    return np.sqrt(TAU * (w[0] * a2[:, 0] + 2.0 * np.add.reduce(w[1:] * a2[:, 1:], axis=1)))
+def _sobolev_norms(modes: np.ndarray, s: float) -> np.ndarray:
+    """The H^s norm of the field of a half-spectrum (rfft layout), or of each row of a stack."""
+    w = _sobolev_weights(2 * modes.shape[-1] - 2, float(s))
+    a2 = np.abs(modes) ** 2
+    return np.sqrt(TAU * (w[0] * a2[..., 0] + 2.0 * np.add.reduce(w[1:] * a2[..., 1:], axis=-1)))
 
 
 def l2_inner(f: SpectralField, g: SpectralField) -> float:
@@ -334,21 +329,22 @@ def _padded(band: np.ndarray, n: int) -> np.ndarray:
 
 
 def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
-    """int poly(u, u_x, ...) dx for each u of band K in a stack, from its modes 0..K (or more).
+    """int poly(u, u_x, ...) dx for u of band K from its modes 0..K (or more), or for each row of a stack.
 
     A degree-d product reaches mode d*K < m, so none but mode 0 folds onto 0
-    and its mean on a cheap FFT grid m is exact: one irfft (norm="forward") of
-    the stack, one row-wise sum.  pocketfft transforms each row of a batch as
-    it would that row alone, and a sum along the contiguous last axis is the
-    row's own pairwise sum, so a row's value does not depend on the stack.
+    and its mean on a cheap FFT grid m is exact: one irfft (norm="forward"),
+    one sum along the contiguous last axis.  pocketfft transforms each row of
+    a batch as it would that row alone, and a row-wise sum is the row's own
+    pairwise sum, so a row's value does not depend on the stack.
     """
     if not poly.terms:
-        return np.full(len(rows), TAU * poly.const)
+        return np.full(rows.shape[:-1], TAU * poly.const)
     m = _quad_grid(poly.degree, band)
     # a linear integrand's grid may stop below its band; only its mean counts
     take = min(band, m // 2) + 1
-    spectra = np.zeros((len(poly.orders), len(rows), m // 2 + 1), np.complex128)
-    np.multiply(rows[:, :take], _d_rows(poly.orders, take)[:, None, :], out=spectra[..., :take])
+    d_rows = _d_rows(poly.orders, take)
+    spectra = np.zeros((len(poly.orders), *rows.shape[:-1], m // 2 + 1), np.complex128)
+    np.multiply(rows[..., :take], d_rows if rows.ndim == 1 else d_rows[:, None, :], out=spectra[..., :take])
     vals = np.fft.irfft(spectra, n=m, norm="forward")
     return TAU * (poly.const + np.add.reduce(poly.products(vals), axis=-1) / m)
 
@@ -356,21 +352,21 @@ def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
 def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
     """int p(u, u_x, ...) dx by exact spectral quadrature on f's band (see _integrals)."""
     poly = _Monomials(e.integrand if isinstance(e, IntegralExpr) else e)
-    return float(_integrals(poly, f.modes[None, :], f.band_limit())[0])
+    return float(_integrals(poly, f.modes, f.band_limit()))
 
 
 # a huge but finite state overflows here first: one BlowUp, no warning
 @np.errstate(over="ignore", invalid="ignore")
-def _record_values(rows: np.ndarray, n: int, polys: Sequence[_Monomials]) -> np.ndarray:
+def _record_values(rows: np.ndarray, polys: Sequence[_Monomials]) -> np.ndarray:
     """[sobolev_norm(f, 0), functional_eval(p, f) for p in polys] for the field f of each row.
 
-    rows is a stack of kept bands of n-grid fields; the imaginary part of its
-    mode 0 is dropped in place, as SpectralField does.  Rows are grouped by
-    band, so each group is one transform per integrand.
+    rows is a stack of half-spectra; the imaginary part of its mode 0 is
+    dropped in place, as SpectralField does.  Rows are grouped by band, so
+    each group is one transform per integrand.
     """
     rows[:, 0] = rows[:, 0].real
     out = np.empty((len(rows), 1 + len(polys)))
-    out[:, 0] = _sobolev_norms(rows, n, 0.0)
+    out[:, 0] = _sobolev_norms(rows, 0.0)
     # each row's band, as band_limit finds it: its last nonzero mode, or 0
     nonzero = np.abs(rows) > 0.0
     nonzero[:, 0] = True
@@ -687,9 +683,9 @@ def solve_batch(
     stepper = _Stepper(flows, u0.n, cfg.dt, cfg.dealias, cfg.order)
     hams = {m: _Monomials(hierarchy.level(m).hamiltonian.integrand) for m in cfg.hamiltonians}
     diags = [Diagnostics(hams={m: [] for m in cfg.hamiltonians}) for _ in flows]
-    # floats of the widest array one recorded state fills: its |modes|^2 row or
-    # a Hamiltonian's samples on the march's band
-    widest = max([u0.n // 2] + [len(p.orders) * _quad_grid(p.degree, stepper.take) for p in hams.values()])
+    # floats of the widest array one recorded state fills: its complex half-spectrum
+    # or a Hamiltonian's samples on the march's band
+    widest = max([u0.n + 2] + [len(p.orders) * _quad_grid(p.degree, stepper.take) for p in hams.values()])
     per = 1 if observe is not None else max(1, _RECORD_BYTES // (8 * len(flows) * widest))
     pending: list[tuple[float, np.ndarray]] = []
 
@@ -698,8 +694,10 @@ def solve_batch(
             return
         ts, bands = zip(*pending)
         pending.clear()
-        rows = np.array(bands).reshape(len(ts) * len(flows), -1)
-        values = _record_values(rows, u0.n, list(hams.values())).reshape(len(ts), len(flows), -1)
+        # each state's half-spectrum, zero above the band: the norms sum over all of it
+        rows = np.zeros((len(ts) * len(flows), u0.n // 2 + 1), np.complex128)
+        rows[:, : stepper.take + 1] = np.reshape(bands, (len(rows), -1))
+        values = _record_values(rows, list(hams.values())).reshape(len(ts), len(flows), -1)
         for t, members in zip(ts, values.tolist()):
             if not all(math.isfinite(v) for row in members for v in row):
                 raise BlowUp(f"non-finite diagnostics at t = {t:.6g}", t)
@@ -709,7 +707,7 @@ def solve_batch(
                 for m, value in zip(hams, hs):
                     diag.hams[m].append(value)
         if observe is not None:
-            observe([SpectralField(u0.n, _padded(row, u0.n)) for row in rows])
+            observe([SpectralField(u0.n, row) for row in rows])
 
     def record(t: float, band: np.ndarray):
         # advance returns a new array, so a pending band is never overwritten
