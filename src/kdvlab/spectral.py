@@ -374,7 +374,7 @@ def _record_values(rows: np.ndarray, polys: Sequence[_Monomials]) -> np.ndarray:
     for i, row in enumerate(nonzero):
         groups.setdefault(int(np.nonzero(row)[0][-1]), []).append(i)
     for top, idx in groups.items():
-        group = rows[idx]
+        group, idx = (rows, slice(None)) if len(groups) == 1 else (rows[idx], idx)
         for j, poly in enumerate(polys, 1):
             out[idx, j] = _integrals(poly, group, top)
     return out
@@ -643,11 +643,12 @@ def solve(
 
 
 # bytes of the widest array that one chunk of recorded states fills (see
-# solve_batch).  Sweep over the 151 states of hierarchy_flow(1), N = 256, with
-# H0..H2 (1440 floats a state; medians of 11): 4-16 KiB (one state a chunk)
-# 24 ms, 32 KiB 15 ms, 64 KiB 8.2 ms, 128 KiB 5.7 ms, 256 KiB 4.6 ms.  From
-# 128 KiB on, the chunk's arrays raised the peak resident set of a
-# stepping benchmark run at equal work by about 0.1 MiB; 64 KiB did not.
+# solve_batch).  _record_values over the 151 states of hierarchy_flow(1),
+# N = 256, with H0..H2 (1440 floats a state; medians of 11): 4-16 KiB (one
+# state a chunk) 21-25 ms, 32 KiB 16 ms, 64 KiB 8.7 ms, 128 KiB 5.9 ms,
+# 256 KiB 5.1 ms, 1 MiB 6.1 ms.  At 128 and 256 KiB the peak resident set of
+# a stepping benchmark run at equal work read about 0.1 MiB higher than at
+# 64 KiB (4 runs each); the chunk's arrays stay near the march's own.
 _RECORD_BYTES = 1 << 16
 
 
