@@ -288,10 +288,10 @@ def _cmd_exp(args, argv) -> int:
     if not existing.is_dir():
         raise ValueError(f"--out: {str(existing)!r} is not a directory")
     _destination("--manifest", args.manifest)
-    tables = (f"{stem}.json", f"{stem}_*.csv") + (() if args.manifest else (f"{stem}_manifest.json",))
+    outputs = (f"{stem}.json", f"{stem}_*.csv") + (() if args.manifest else (f"{stem}_manifest.json",))
 
     def written(p: Path) -> bool:
-        return p.parent == out_dir.resolve() and any(map(p.match, tables))
+        return p.parent == out_dir.resolve() and any(map(p.match, outputs))
 
     config = args.config and Path(args.config).resolve()
     _apart("--manifest", args.manifest, lambda p: written(p) or p == config)
