@@ -724,7 +724,9 @@ def solve_batch(
             modes = stepper.advance(modes, i * cfg.dt)
             if (i + 1) % cfg.diagnostics_every == 0 or i + 1 == n_steps:
                 record((i + 1) * cfg.dt, modes)
-    finally:
+    except BlowUp:
         flush()
+        raise
+    flush()
     states = [SpectralField(u0.n, _padded(row, u0.n)) for row in modes.reshape(len(flows), -1)]
     return list(zip(states, diags))
