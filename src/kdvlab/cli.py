@@ -252,6 +252,7 @@ def _cmd_solve(args, argv) -> int:
         extra["hs"] = lambda f: sobolev_norm(f, hs)
     if cfg["energy.s"] != "":
         es = _finite("energy.s", cfg["energy.s"])
+        _check_threshold(cfg["flow.l"], es)
         bp = build_energy(cfg["flow.l"])
         extra["Es"] = lambda f: evaluate_energy(bp, es, f)
     cols = {c: [] for c in extra}
@@ -264,7 +265,6 @@ def _cmd_solve(args, argv) -> int:
         n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],
         order=cfg["integrator.order"], diagnostics_every=cfg["diagnostics.every"],
     )
-    # without an extra column the solve records its states a chunk at a time
     _, diag = solve(u0, flow, sc, observe if extra else None)
     cols.update(t=diag.times, l2=diag.l2, **{f"H{m}": v for m, v in diag.hams.items()})
 

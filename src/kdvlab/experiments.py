@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .modenergy import build_energy, energy_time_derivative, evaluate_energy
+from .modenergy import _check_threshold, build_energy, energy_time_derivative, evaluate_energy
 from .spectral import (
     TAU,
     SolverConfig,
@@ -393,20 +393,17 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
         )
     sc = _solver_config(cfg, hamiltonians=())
     fine_sc = _solver_config(cfg, n=2 * cfg["n"], hamiltonians=())
+    _check_threshold(l, s)
     bp = build_energy(l)
     flow = model_flow(l)
     u0 = random_decay_field(
         cfg["n"], decay=cfg["decay"], seed=cfg["seed"], amplitude=cfg["amplitude"], kmax=cfg["kmax"]
     )
 
-    hs, energy, states = [], [], []
-
-    def observe(f: SpectralField):
-        hs.append(sobolev_norm(f, s))
-        energy.append(evaluate_energy(bp, s, f))
-        states.append(f)
-
-    _, diag = solve(u0, flow, sc, observe)
+    states: list[SpectralField] = []
+    _, diag = solve(u0, flow, sc, states.append)
+    hs = [sobolev_norm(f, s) for f in states]
+    energy = [evaluate_energy(bp, s, f) for f in states]
     drift = max(abs(e - energy[0]) for e in energy)
 
     def empirical_c(sampled) -> float:

@@ -44,7 +44,6 @@ __all__ = [
     "sobolev_norm",
     "solve",
     "solve_batch",
-    "step",
 ]
 
 TAU = 2.0 * math.pi
@@ -322,9 +321,9 @@ def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> 
 
 
 def _padded(band: np.ndarray, n: int) -> np.ndarray:
-    """The modes 0..len(band)-1 of an n-grid field, zero above."""
-    out = np.zeros(n // 2 + 1, dtype=np.complex128)
-    out[: band.size] = band
+    """The n-grid half-spectrum of a band of modes 0..K-1 (or of each row of a stack), zero above."""
+    out = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    out[..., : band.shape[-1]] = band
     return out
 
 
@@ -621,11 +620,6 @@ class Diagnostics:
     hams: dict[int, list[float]] = dc_field(default_factory=dict)
 
 
-def step(state: SpectralField, flow: FlowSpec, cfg: SolverConfig, t: float = 0.0) -> SpectralField:
-    stepper = _Stepper([flow], state.n, cfg.dt, cfg.dealias, cfg.order)
-    return SpectralField(state.n, _padded(stepper.advance(state.modes[: stepper.take + 1], t), state.n))
-
-
 def solve(
     u0: SpectralField,
     flow: FlowSpec,
@@ -668,10 +662,11 @@ def solve_batch(
     of member states, after their norms and Hamiltonians are stored.  A
     non-finite mode, norm or Hamiltonian in any member raises BlowUp.
 
-    Without observe, recorded states wait in a chunk of about _RECORD_BYTES
-    and are evaluated together (_record_values); with observe a chunk is one
-    state.  A BlowUp from the stepper first evaluates the pending states, so
-    an earlier non-finite norm or Hamiltonian is the one reported.
+    Recorded states wait in a chunk of about _RECORD_BYTES and are evaluated
+    together (_record_values), then stored and observed in time order.  A
+    BlowUp from the stepper first evaluates the pending states, so an earlier
+    non-finite norm or Hamiltonian is the one reported, and every state
+    before it is observed.
     """
     flows = list(flows)
     if not flows:
@@ -687,7 +682,7 @@ def solve_batch(
     # floats of the widest array one recorded state fills: its complex half-spectrum
     # or a Hamiltonian's samples on the march's band
     widest = max([u0.n + 2] + [len(p.orders) * _quad_grid(p.degree, stepper.take) for p in hams.values()])
-    per = 1 if observe is not None else max(1, _RECORD_BYTES // (8 * len(flows) * widest))
+    per = max(1, _RECORD_BYTES // (8 * len(flows) * widest))
     pending: list[tuple[float, np.ndarray]] = []
 
     def flush():
@@ -696,10 +691,9 @@ def solve_batch(
         ts, bands = zip(*pending)
         pending.clear()
         # each state's half-spectrum, zero above the band: the norms sum over all of it
-        rows = np.zeros((len(ts) * len(flows), u0.n // 2 + 1), np.complex128)
-        rows[:, : stepper.take + 1] = np.reshape(bands, (len(rows), -1))
+        rows = _padded(np.reshape(bands, (len(ts) * len(flows), -1)), u0.n)
         values = _record_values(rows, list(hams.values())).reshape(len(ts), len(flows), -1)
-        for t, members in zip(ts, values.tolist()):
+        for t, members, states in zip(ts, values.tolist(), rows.reshape(len(ts), len(flows), -1)):
             if not all(math.isfinite(v) for row in members for v in row):
                 raise BlowUp(f"non-finite diagnostics at t = {t:.6g}", t)
             for (l2, *hs), diag in zip(members, diags):
@@ -707,8 +701,8 @@ def solve_batch(
                 diag.l2.append(l2)
                 for m, value in zip(hams, hs):
                     diag.hams[m].append(value)
-        if observe is not None:
-            observe([SpectralField(u0.n, row) for row in rows])
+            if observe is not None:
+                observe([SpectralField(u0.n, row) for row in states])
 
     def record(t: float, band: np.ndarray):
         # advance returns a new array, so a pending band is never overwritten
@@ -728,5 +722,5 @@ def solve_batch(
         flush()
         raise
     flush()
-    states = [SpectralField(u0.n, _padded(row, u0.n)) for row in modes.reshape(len(flows), -1)]
+    states = [SpectralField(u0.n, row) for row in _padded(modes.reshape(len(flows), -1), u0.n)]
     return list(zip(states, diags))

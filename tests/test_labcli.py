@@ -324,6 +324,8 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
         "flow.mu = 0.5",
         "flow.kind = hierarchy\nflow.mu = 0.5",
         "flow.kind = hierarchy\nenergy.s = 5",
+        "energy.s = 3",
+        "energy.s = 3.5",
     ],
 )
 def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
@@ -340,7 +342,18 @@ def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
 
 
 def _no_run(*args, **kwargs):
-    raise AssertionError("a bad output destination reached the run")
+    raise AssertionError("bad input or a bad output destination reached the run")
+
+
+def test_solve_refuses_a_below_threshold_energy_s_before_any_step(tmp_path, capsys, monkeypatch):
+    # E^s at l = 2 needs s > 7/2; the refusal comes before the march, not at
+    # the first recorded state
+    monkeypatch.setattr(cli, "solve", _no_run)
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, "energy.s = 3.5"))
+    assert main(["solve", "--config", cfg]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -501,6 +514,7 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
     "name, line",
     [
         ("energy-drift", "s = inf"),
+        ("energy-drift", "s = 3.5"),
         ("bona-smith", "s = nan"),
         ("bona-smith", "s = inf"),
         ("conservation", "t_final = 0"),

@@ -36,7 +36,6 @@ from kdvlab.spectral import (
     sobolev_norm,
     solve,
     solve_batch,
-    step,
 )
 
 TAU = 2.0 * math.pi
@@ -217,7 +216,7 @@ def test_linear_evolution_is_exact():
     n, dt = 64, 0.1
     lin = dataclasses.replace(model_flow(2), name="linear", nonlinear=None)
     f = cosine_field(n, 3)
-    g = step(f, lin, SolverConfig(n=n, dt=dt, t_final=dt))
+    g, _ = solve(f, lin, SolverConfig(n=n, dt=dt, t_final=dt, hamiltonians=()))
     exact = f.modes * np.exp(lin.linear_on(n) * dt)
     assert np.allclose(g.modes, exact, atol=1e-14)
 
@@ -343,6 +342,81 @@ def test_integrator_refinement_order():
     errs = [np.max(np.abs(final(dt).modes - ref)) for dt in (0.2 / 64, 0.2 / 128)]
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 24.0, ratio
+
+
+# ---------------------------------------------------------------------------
+# the KdV soliton: closed-form Hamiltonians and a travelling exact solution
+# ---------------------------------------------------------------------------
+
+
+def _soliton(n, kappa, shift=0.0):
+    """12 kappa^2 sech^2(kappa (x - pi + shift)) on the n-grid.
+
+    The level-l flow u_t = d/dx G_l carries it left at speed (4 kappa^2)^l,
+    and H_m of it on the line is 288 4^m kappa^{2m+3}/(2m+3); on the torus
+    the tails at distance pi from the peak are below roundoff for kappa >= 4.
+    """
+    return SpectralField.from_values(12.0 * kappa**2 / np.cosh(kappa * (grid(n) - math.pi + shift)) ** 2)
+
+
+def _soliton_hamiltonian(m, kappa):
+    return 288.0 * 4**m * kappa ** (2 * m + 3) / (2 * m + 3)
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("kappa", [4, 5, 6])
+def test_soliton_hamiltonians_match_the_closed_form(n, kappa):
+    f = _soliton(n, kappa)
+    for m in range(4):
+        exact = _soliton_hamiltonian(m, kappa)
+        assert abs(functional_eval(level(m).hamiltonian, f) - exact) <= 1e-14 * exact, m
+
+
+# (order, steps): max |u - exact| / max |exact| at t = T, and the largest
+# relative deviation of a recorded H0..H2 from the closed form, each the
+# measured value rounded up to two digits
+SOLITON_RUNS = {
+    (4, 100): (3.2e-4, 1.8e-4),
+    (4, 200): (1.3e-5, 8.1e-6),
+    (4, 400): (6.7e-7, 2.5e-7),
+    (2, 100): (3.0e-2, 2.1e-2),
+    (2, 200): (6.5e-3, 2.7e-3),
+    (2, 400): (1.6e-3, 3.5e-4),
+}
+
+
+@pytest.mark.parametrize("order, min_rate", [(4, 3.5), (2, 1.8)])
+def test_kdv_soliton_travels_at_the_integrators_order(order, min_rate):
+    # hierarchy_flow(1) over T = 1/(4 kappa^2) moves the soliton one unit left
+    kappa, n = 5, 256
+    t_final = 1.0 / (4 * kappa**2)
+    exact = _soliton(n, kappa, 1.0).values()
+    errors = []
+    for steps in (100, 200, 400):
+        cfg = SolverConfig(n=n, dt=t_final / steps, t_final=t_final, order=order)
+        u, diag = solve(_soliton(n, kappa), hierarchy_flow(1), cfg)
+        errors.append(np.max(np.abs(u.values() - exact)) / np.max(exact))
+        max_error, max_drift = SOLITON_RUNS[order, steps]
+        assert errors[-1] <= max_error, (steps, errors[-1])
+        assert len(diag.times) == steps + 1
+        for m, values in diag.hams.items():
+            exact_h = _soliton_hamiltonian(m, kappa)
+            assert max(abs(v - exact_h) for v in values) <= max_drift * exact_h, (steps, m)
+    rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(rates) >= min_rate, rates
+
+
+@pytest.mark.xfail(
+    strict=True, raises=BlowUp,
+    reason="ETD4 marches the l = 3 soliton into a BlowUp (non-finite diagnostics at t = 0.17 T); ETD2 does not",
+)
+def test_l3_soliton_survives_etd4():
+    kappa, n, steps = 4, 256, 1600
+    t_final = 1.0 / (4 * kappa**2) ** 3
+    cfg = SolverConfig(n=n, dt=t_final / steps, t_final=t_final, order=4)
+    u, _ = solve(_soliton(n, kappa), hierarchy_flow(3), cfg)
+    exact = _soliton(n, kappa, 1.0).values()
+    assert np.max(np.abs(u.values() - exact)) <= 1e-2 * np.max(exact)
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +620,9 @@ def test_rhs_fft_count_is_pinned(monkeypatch):
         seen.append(dict(counts))
     # every derivative order in one batched irfft, the summed products in one rfft
     assert seen[0] == seen[1] == {"rfft": 1, "irfft": 1}
+    # one order-4 step, whose records (no Hamiltonians) transform nothing
     counts.update(rfft=0, irfft=0)
-    step(f, flow, SolverConfig(n=1024, dt=1e-4, t_final=1e-4, order=4))
+    solve(f, flow, SolverConfig(n=1024, dt=1e-4, t_final=1e-4, order=4, hamiltonians=()))
     assert counts == {"rfft": 4, "irfft": 4}
 
 
@@ -600,10 +675,11 @@ def test_record_fft_count_is_pinned(monkeypatch):
 @pytest.mark.parametrize("order", [2, 4])
 @pytest.mark.parametrize("name", ["hier1", "hier2", "hier3", "hier4", "model2", "stack6"])
 def test_chunked_records_keep_the_bits_of_single_records(monkeypatch, name, order, every):
-    # without observe the recorded states are evaluated a chunk at a time,
-    # grouped by band; with observe one state at a time.  The start's band (2)
-    # is narrower than the march's, so the first chunk holds several bands,
-    # and every run spans several chunks with a partial last one
+    # recorded states are evaluated a chunk at a time, grouped by band, and
+    # each value keeps the bits that sobolev_norm and functional_eval give on
+    # the observed state alone.  The start's band (2) is narrower than the
+    # march's, so the first chunk holds several bands, and every run spans
+    # several chunks with a partial last one, observed or not
     if name == "stack6":
         flows = [regularized_flow(2, mu) for mu in (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4, 0.0)]
     else:
@@ -623,33 +699,41 @@ def test_chunked_records_keep_the_bits_of_single_records(monkeypatch, name, orde
     chunked = solve_batch(f, flows, cfg)
     assert len(chunks) > 2 and chunks[-1] < chunks[0], chunks
     chunks.clear()
-    single = solve_batch(f, flows, cfg, lambda states: None)
-    assert set(chunks) == {1}
-    for (state, diag), (ref, ref_diag) in zip(chunked, single):
+    alone = []
+
+    def observe(states):
+        alone.append([(sobolev_norm(g, 0.0), {m: functional_eval(level(m).hamiltonian, g) for m in (0, 1, 2)})
+                      for g in states])
+
+    observed = solve_batch(f, flows, cfg, observe)
+    assert max(chunks) > 1, chunks
+    for j, ((state, diag), (ref, ref_diag)) in enumerate(zip(chunked, observed)):
         assert np.array_equal(state.modes, ref.modes)
         assert diag.times == ref_diag.times and diag.l2 == ref_diag.l2 and diag.hams == ref_diag.hams
-        assert len(diag.times) == 1 + -(-steps // every)
+        assert len(diag.times) == len(alone) == 1 + -(-steps // every)
+        assert diag.l2 == [members[j][0] for members in alone]
+        for m, values in diag.hams.items():
+            assert values == [members[j][1][m] for members in alone]
         assert all(math.isfinite(v) for values in diag.hams.values() for v in values)
 
 
 def test_chunked_records_report_the_first_non_finite_diagnostic():
     # at amplitude 1e8 the state after one step is finite but its H2
     # overflows; the stepper raises a few steps later, inside the same chunk.
-    # The pending records are evaluated first, so the report is the one a
-    # state-at-a-time solve gives
+    # The pending records are evaluated first, so the report names the first
+    # non-finite record, and observe has seen every state before it
     f = 1e8 * cosine_field(64, 1)
     cfg = SolverConfig(n=64, dt=1e-2, t_final=1.0, hamiltonians=(0, 1, 2))
-    caught = []
-    for observe in (None, lambda states: None):
+    seen = []
+    for observe in (None, seen.append):
         with np.errstate(all="raise"), pytest.raises(BlowUp) as info:
             solve_batch(f, [model_flow(2)], cfg, observe)
-        caught.append(info.value)
-    chunked, single = caught
-    assert type(chunked) is type(single) is BlowUp
-    assert str(chunked) == str(single) == "non-finite diagnostics at t = 0.01"
-    assert chunked.time == single.time == 0.01
-    # the stepper's own BlowUp came first, mid-chunk
-    assert isinstance(chunked.__context__, BlowUp) and "non-finite mode" in str(chunked.__context__)
+        assert type(info.value) is BlowUp
+        assert str(info.value) == "non-finite diagnostics at t = 0.01"
+        assert info.value.time == 0.01
+        # the stepper's own BlowUp came first, mid-chunk
+        assert isinstance(info.value.__context__, BlowUp) and "non-finite mode" in str(info.value.__context__)
+    assert len(seen) == 1 and len(seen[0]) == 1 and np.array_equal(seen[0][0].modes, f.modes)
 
 
 def test_rhs_plan_keeps_bits_on_power_of_two_grids():
