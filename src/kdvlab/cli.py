@@ -177,6 +177,16 @@ def _finite(name: str, value) -> float:
     return v
 
 
+def _sobolev_index(name: str, value, n: int) -> float:
+    """A finite s whose table (1 + k^2)^s, |k| <= n/2, is finite: refused before any step."""
+    s = _finite(name, value)
+    try:
+        (1.0 + (n // 2) ** 2) ** s
+    except OverflowError:
+        raise ValueError(f"{name} = {value} overflows (1 + k^2)^s on grid.N = {n}") from None
+    return s
+
+
 def _cmd_ibp_alpha(args, argv) -> int:
     if args.l < 1:
         raise ValueError(f"--l must be at least 1, got {args.l}")
@@ -199,7 +209,7 @@ def _cmd_energy_build(args, argv) -> int:
     obj = bp.to_obj()
     if args.s is not None:
         obj["s"] = args.s
-        obj["gammas_at_s"] = [float(g(args.s)) for g in bp.gammas()]
+        obj["gammas_at_s"] = [_finite(f"gamma at --s {args.s}", g(args.s)) for g in bp.gammas()]
     _emit(json.dumps(obj, indent=2, sort_keys=True), args.out)
     complete = not obj["resonant_residue"] and not obj["diagnostics"]["pending_terms"]
     return 0 if complete else 1
@@ -248,18 +258,19 @@ def _cmd_solve(args, argv) -> int:
     # the optional columns, each a function of the recorded state
     extra = {}
     if cfg["diagnostics.s"] != "":
-        hs = _finite("diagnostics.s", cfg["diagnostics.s"])
+        hs = _sobolev_index("diagnostics.s", cfg["diagnostics.s"], cfg["grid.N"])
         extra["hs"] = lambda f: sobolev_norm(f, hs)
     if cfg["energy.s"] != "":
-        es = _finite("energy.s", cfg["energy.s"])
+        es = _sobolev_index("energy.s", cfg["energy.s"], cfg["grid.N"])
         _check_threshold(cfg["flow.l"], es)
         bp = build_energy(cfg["flow.l"])
         extra["Es"] = lambda f: evaluate_energy(bp, es, f)
     cols = {c: [] for c in extra}
 
     def observe(f: SpectralField):
-        for c, fn in extra.items():
-            cols[c].append(fn(f))
+        with np.errstate(all="ignore"):  # _finite refuses a non-finite value, so no warning
+            for c, fn in extra.items():
+                cols[c].append(_finite(f"{c} at recorded state {len(cols[c])}", fn(f)))
 
     sc = SolverConfig(
         n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],

@@ -16,13 +16,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 __all__ = [
-    "Rational",
     "DiffMonomial",
     "DiffPoly",
     "IntegralExpr",
@@ -56,12 +54,6 @@ class GradientMismatch(ValueError):
 Factor = tuple[str, int]
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class DiffMonomial:
     """coeff * prod over factors (symbol, order) -> d^order symbol."""
@@ -89,15 +81,16 @@ class DiffMonomial:
         return f"({self.coeff})*{body}"
 
 
-def _merge(terms: Iterable[tuple[tuple[Factor, ...], Fraction]]) -> dict:
-    acc: dict[tuple[Factor, ...], Fraction] = {}
-    for fac, c in terms:
-        c0 = acc.get(fac)
+def _merge_coeffs(terms: Iterable[tuple[Hashable, object]]) -> dict:
+    """Sum exact coefficients by key; a key whose sum is == 0 is dropped."""
+    acc: dict = {}
+    for key, c in terms:
+        c0 = acc.get(key)
         c1 = c if c0 is None else c0 + c
         if c1 == 0:
-            acc.pop(fac, None)
+            acc.pop(key, None)
         else:
-            acc[fac] = c1
+            acc[key] = c1
     return acc
 
 
@@ -107,7 +100,7 @@ class DiffPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, monomials: Iterable[DiffMonomial] = ()):
-        acc = _merge((m.factors, m.coeff) for m in monomials if m.coeff != 0)
+        acc = _merge_coeffs((m.factors, m.coeff) for m in monomials if m.coeff != 0)
         self._terms = tuple(
             DiffMonomial(c, f)
             for f, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), sum(k for _, k in kv[0]), kv[0]))
@@ -147,8 +140,8 @@ class DiffPoly:
 
     def __mul__(self, other) -> "DiffPoly":
         if isinstance(other, DiffPoly):
-            return multiply(self, other)
-        c = _as_fraction(other)
+            return DiffPoly(DiffMonomial(a.coeff * b.coeff, a.factors + b.factors) for a in self for b in other)
+        c = Fraction(other)
         return self.map_coeff(lambda x: x * c)
 
     __rmul__ = __mul__
@@ -166,20 +159,12 @@ class DiffPoly:
 
 
 def mono(coeff: RationalLike, factors: Sequence[Factor] = ()) -> DiffPoly:
-    return DiffPoly([DiffMonomial(_as_fraction(coeff), tuple(factors))])
+    return DiffPoly([DiffMonomial(Fraction(coeff), tuple(factors))])
 
 
 def sym(symbol: str = "u", order: int = 0) -> DiffPoly:
     """The single factor d^order symbol as a polynomial."""
     return mono(1, [(symbol, order)])
-
-
-def multiply(p: DiffPoly, q: DiffPoly) -> DiffPoly:
-    out = []
-    for a in p:
-        for b in q:
-            out.append(DiffMonomial(a.coeff * b.coeff, a.factors + b.factors))
-    return DiffPoly(out)
 
 
 def _derive_monomial(m: DiffMonomial) -> list[DiffMonomial]:
@@ -244,14 +229,14 @@ def _peel_mono_key(fac: tuple[Factor, ...], rank: Mapping[str, int]):
     Negated for heapq's min-heap; rank[s] is the position of symbol s in sorted
     order. d/dx preserves (degree, symbol sequence) and its top term always
     raises the leading run of the first block, so the key is strictly
-    decreasing along a peel and the reduction terminates; see _peel.
+    decreasing along a peel and the reduction terminates; see split_exact.
     """
     blocks = sorted((rank[s], -k) for s, k in fac)
     return (-len(fac), tuple(-r for r, _ in blocks), tuple(nk for _, nk in blocks))
 
 
-def _peel(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
-    """Split p = d/dx(antider) + residue, residue in reduced normal form.
+def split_exact(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
+    """Split p = d/dx(anti) + residue, residue in reduced normal form.
 
     Greedy elimination in the block order of _peel_mono_key. The maximal
     monomial is reducible when the first symbol block's top order is >= 1
@@ -259,9 +244,10 @@ def _peel(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
     of d/dx of its lowered antiderivative, and subtracting that introduces
     only strictly smaller monomials. Irreducible tops move to the residue.
     A nonzero reduced residue is never exact (exact polynomials always have
-    reducible tops), which makes the residue canonical modulo d/dx. A monomial
-    is keyed once, as it enters `work`; a heap entry whose monomial has since
-    cancelled out of `work` is skipped.
+    reducible tops), which makes the residue canonical modulo d/dx and zero
+    exactly when p is a total derivative. Never raises: a caller can report
+    the non-exact part. A monomial is keyed once, as it enters `work`; a heap
+    entry whose monomial has since cancelled out of `work` is skipped.
     """
     rank = {s: i for i, s in enumerate(p.symbols())}
     work = {m.factors: m.coeff for m in p}
@@ -305,20 +291,10 @@ def _peel(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
 
 def integrate_exact(p: DiffPoly) -> DiffPoly:
     """Antiderivative q with d/dx q = p; raises NotExact if none exists."""
-    anti, residue = _peel(p)
+    anti, residue = split_exact(p)
     if not residue.is_zero():
         raise NotExact(f"polynomial is not a total derivative; residue {residue!r}")
     return anti
-
-
-def split_exact(p: DiffPoly) -> tuple[DiffPoly, DiffPoly]:
-    """Split p = d/dx(anti) + residue with residue in peel normal form.
-
-    residue is zero exactly when p is a total derivative; unlike
-    integrate_exact this never raises, so callers can report the
-    non-exact part instead of aborting.
-    """
-    return _peel(p)
 
 
 def ibp_normal_form(p: DiffPoly) -> DiffPoly:
@@ -328,7 +304,7 @@ def ibp_normal_form(p: DiffPoly) -> DiffPoly:
     periodic fields iff their normal forms coincide; cross-checked against
     the independent Euler-operator oracle in the tests.
     """
-    _, residue = _peel(p)
+    _, residue = split_exact(p)
     return residue
 
 

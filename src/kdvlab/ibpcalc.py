@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diffpoly import DiffPoly, IntegralExpr, is_exact, mono, multiply, sym
+from .diffpoly import DiffPoly, IntegralExpr, is_exact, sym
 
 __all__ = ["AlphaTable", "IbpIdentity", "alpha_coeffs", "reduce_integral", "verify_identity"]
 
@@ -63,16 +63,11 @@ def alpha_coeffs(l: int) -> AlphaTable:
 def _identity_sides(l: int) -> tuple[DiffPoly, DiffPoly]:
     w, f, g = sym("w"), sym("f"), sym("g")
     n = 2 * l + 1
-    lhs = (
-        multiply(multiply(sym("w", n), f), g)
-        + multiply(multiply(w, sym("f", n)), g)
-        + multiply(multiply(w, f), sym("g", n))
-    )
+    lhs = sym("w", n) * f * g + w * sym("f", n) * g + w * f * sym("g", n)
     table = alpha_coeffs(l)
     rhs = DiffPoly.zero()
     for j in range(1, l + 1):
-        term = multiply(multiply(sym("w", 2 * (l - j) + 1), sym("f", j)), sym("g", j))
-        rhs = rhs + mono(table[j]) * term
+        rhs = rhs + table[j] * (sym("w", 2 * (l - j) + 1) * sym("f", j) * sym("g", j))
     return lhs, rhs
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 
@@ -49,18 +49,7 @@ class RunManifest:
         if verdict:
             self.verdict = verdict
 
-    def to_obj(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "code_version": self.code_version,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs,
-            "verdict": self.verdict,
-        }
-
     def write(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_obj(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")

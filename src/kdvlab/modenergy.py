@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb
 from typing import ClassVar
 
-from .diffpoly import DiffMonomial, DiffPoly, split_exact
+from .diffpoly import DiffMonomial, DiffPoly, _merge_coeffs, split_exact
 from .energyplan import _EnergyPlan
 from .ibpcalc import alpha_coeffs
 from .spectral import SpectralField, sobolev_norm
@@ -211,16 +211,9 @@ def _normalize_square(pt: PTerm) -> PTerm:
 
 
 def _merge(terms) -> list[PTerm]:
-    acc: dict[tuple, SPoly] = {}
-    for t in terms:
-        key = (t.a_out, t.inner, t.off, t.b, t.c)
-        acc[key] = acc.get(key, _ZERO) + t.coeff
-    out = []
-    for key in sorted(acc):
-        if not acc[key].is_zero():
-            a_out, inner, off, b, c = key
-            out.append(PTerm(acc[key], a_out, inner, off, b, c))
-    return out
+    """Terms summed by shape, sorted by (a_out, inner, off, b, c), zero sums dropped."""
+    acc = _merge_coeffs(((t.a_out, t.inner, t.off, t.b, t.c), t.coeff) for t in terms)
+    return [PTerm(acc[key], *key) for key in sorted(acc)]
 
 
 def _reduce_pair(pt: PTerm) -> list[PTerm]:
@@ -464,7 +457,7 @@ def _peel_zero_outer(resonant: list[PTerm]) -> tuple[dict, list[PTerm]]:
     becomes (A=1, inner) buckets, and any non-exact residue is reported
     instead of silently dropped.
     """
-    out = {t.bucket(): t.coeff for t in resonant if t.a_out >= 1}
+    buckets = [(t.bucket(), t.coeff) for t in resonant if t.a_out >= 1]
     by_m: dict[int, list[DiffMonomial]] = {}
     for t in resonant:
         if t.a_out == 0:
@@ -473,10 +466,9 @@ def _peel_zero_outer(resonant: list[PTerm]) -> tuple[dict, list[PTerm]]:
     for m in sorted(by_m):
         anti, res = split_exact(DiffPoly(by_m[m]))
         for mono in anti:
-            key = pterm(mono.coeff, 1, [k for _, k in mono.factors], 0, m, m).bucket()
-            out[key] = out.get(key, _ZERO) + mono.coeff
+            buckets.append((pterm(mono.coeff, 1, [k for _, k in mono.factors], 0, m, m).bucket(), mono.coeff))
         residue.extend(pterm(mono.coeff, 0, [k for _, k in mono.factors], 0, m, m) for mono in res)
-    return {k: v for k, v in out.items() if not v.is_zero()}, residue
+    return _merge_coeffs(buckets), residue
 
 
 def _solve_stage(l: int, stage: int, resonant: dict, bp: EnergyBlueprint) -> list[PTerm]:

@@ -669,6 +669,8 @@ def solve_batch(
     before it is observed.
     """
     flows = list(flows)
+    if cfg.n != u0.n:
+        raise ValueError(f"the config's grid n = {cfg.n} differs from u0's {u0.n} points")
     if not flows:
         raise ValueError("solve_batch needs at least one flow")
     if any(flow.nonlinear != flows[0].nonlinear for flow in flows):

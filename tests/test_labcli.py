@@ -159,6 +159,7 @@ def _one_error_line(capsys) -> bool:
         ["ibp", "alpha", "--l", "-2", "--verify"],
         ["energy", "build", "--l", "2", "--s", "inf"],
         ["energy", "build", "--l", "2", "--s", "nan"],
+        ["energy", "build", "--l", "3", "--s", "1e200"],
     ],
 )
 def test_bad_argument_exits_2_with_one_line(capsys, argv):
@@ -313,8 +314,12 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
         "grid.N = 128, 256",
         "diagnostics.s = nan",
         "diagnostics.s = inf",
+        "diagnostics.s = 400",
+        # the (1 + k^2)^s table is finite, the norm of the t = 0 state is not
+        "time.T = 0\ndealias = 1\nic.kind = random\nic.decay = 0\nic.amplitude = 1e3\ndiagnostics.s = 102",
         "energy.s = nan",
         "energy.s = inf",
+        "energy.s = 400",
         "flow.kind = regularized\nflow.mu = nan",
         "flow.kind = regularized\nflow.mu = inf",
         "ic.amplitude = inf",
