@@ -43,6 +43,7 @@ from .spectral import (
     BlowUp,
     SolverConfig,
     SpectralField,
+    _sobolev_weights,
     cosine_field,
     hierarchy_flow,
     model_flow,
@@ -177,16 +178,6 @@ def _finite(name: str, value) -> float:
     return v
 
 
-def _sobolev_index(name: str, value, n: int) -> float:
-    """A finite s whose table (1 + k^2)^s, |k| <= n/2, is finite: refused before any step."""
-    s = _finite(name, value)
-    try:
-        (1.0 + (n // 2) ** 2) ** s
-    except OverflowError:
-        raise ValueError(f"{name} = {value} overflows (1 + k^2)^s on grid.N = {n}") from None
-    return s
-
-
 def _cmd_ibp_alpha(args, argv) -> int:
     if args.l < 1:
         raise ValueError(f"--l must be at least 1, got {args.l}")
@@ -255,13 +246,16 @@ def _cmd_solve(args, argv) -> int:
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
-    # the optional columns, each a function of the recorded state
+    # the optional columns, each a function of the recorded state; an s whose
+    # (1 + k^2)^s table overflows on the grid is refused before any step
     extra = {}
     if cfg["diagnostics.s"] != "":
-        hs = _sobolev_index("diagnostics.s", cfg["diagnostics.s"], cfg["grid.N"])
+        hs = _finite("diagnostics.s", cfg["diagnostics.s"])
+        _sobolev_weights(cfg["grid.N"], hs)
         extra["hs"] = lambda f: sobolev_norm(f, hs)
     if cfg["energy.s"] != "":
-        es = _sobolev_index("energy.s", cfg["energy.s"], cfg["grid.N"])
+        es = _finite("energy.s", cfg["energy.s"])
+        _sobolev_weights(cfg["grid.N"], es)
         _check_threshold(cfg["flow.l"], es)
         bp = build_energy(cfg["flow.l"])
         extra["Es"] = lambda f: evaluate_energy(bp, es, f)

@@ -32,6 +32,7 @@ from .spectral import (
     TAU,
     SolverConfig,
     SpectralField,
+    _padded,
     _sobolev_weights,
     cosine_field,
     hierarchy_flow,
@@ -208,7 +209,7 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
 
     def observe(states: list[SpectralField]):
         for i, (a, b) in enumerate(pairs):
-            d = sobolev_norm(SpectralField(cfg["n"], states[a].modes - states[b].modes), 0.0)
+            d = sobolev_norm(states[a] - states[b], 0.0)
             dists[i] = max(dists[i], d)
 
     solve_batch(u0, [regularized_flow(cfg["l"], mu) for mu in needed], sc, observe)
@@ -298,10 +299,7 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
         for e, v in zip(cfg["eps"], norms):
             rows_g.append([nu, e, v])
     for beta in cfg["betas"]:
-        diffs = [
-            sobolev_norm(SpectralField(cfg["n"], phi.modes - molls[e].modes), s - beta)
-            for e in cfg["eps"]
-        ]
+        diffs = [sobolev_norm(phi - molls[e], s - beta) for e in cfg["eps"]]
         slope = _loglog_slope(cfg["eps"], diffs)
         ok = ok and slope >= beta - cfg["conv_margin"]
         metrics[f"conv_slope_beta_{beta}"] = slope
@@ -360,9 +358,7 @@ def _directional_rate(rate, flow, u: SpectralField, h: float = 1e-5) -> float:
     f = rhs_field(flow, u, dealias=1.0)
 
     def central(hh: float) -> float:
-        up = SpectralField(u.n, u.modes + hh * f.modes)
-        um = SpectralField(u.n, u.modes - hh * f.modes)
-        return (rate(up) - rate(um)) / (2 * hh)
+        return (rate(u + hh * f) - rate(u - hh * f)) / (2 * hh)
 
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
@@ -394,6 +390,8 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     sc = _solver_config(cfg, hamiltonians=())
     fine_sc = _solver_config(cfg, n=2 * cfg["n"], hamiltonians=())
     _check_threshold(l, s)
+    # the largest grid of the run (the fine solve or the top contrast rung) carries s, or s is refused
+    _sobolev_weights(max(2 * cfg["n"], 8 * max(k0s)), s)
     bp = build_energy(l)
     flow = model_flow(l)
     u0 = random_decay_field(
@@ -418,7 +416,7 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
         return best
 
     c_base = empirical_c(states)
-    u0_fine = SpectralField(2 * cfg["n"], np.concatenate([u0.modes, np.zeros(cfg["n"] // 2, complex)]))
+    u0_fine = SpectralField(2 * cfg["n"], _padded(u0.modes, 2 * cfg["n"]))
     fine_states: list[SpectralField] = []
     solve(u0_fine, flow, fine_sc, fine_states.append)
     c_fine = empirical_c(fine_states)

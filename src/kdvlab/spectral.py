@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .diffpoly import DiffPoly, IntegralExpr, mono, total_derivative
+from .diffpoly import DiffPoly, IntegralExpr, mono
 from . import hierarchy
 
 __all__ = [
@@ -140,17 +140,20 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
         m = int(sigma)
         if m < 0 or m != sigma:
             raise ValueError("derivative order must be a nonnegative integer")
-        w = (1j * f.wavenumbers()) ** m
+        w = _d_rows((m,), f.n // 2 + 1)[0]
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     return f.with_modes(f.modes * w)
 
 
-# (1 + k^2)^s for k = 0..n/2, read-only; bounded: a solve's records, an energy
-# plan's norm gap, a J multiplier and experiments._raw_rate use one key per (n, s)
+# (1 + k^2)^s for k = 0..n/2, read-only; a non-finite table raises, the one overflow test of s.
+# Bounded: a solve's records, an energy plan's norm gap, a J multiplier and _raw_rate use one key per (n, s)
 @functools.lru_cache(maxsize=64)
 def _sobolev_weights(n: int, s: float) -> np.ndarray:
-    w = (1.0 + np.arange(n // 2 + 1, dtype=np.float64) ** 2) ** s
+    with np.errstate(over="ignore"):
+        w = (1.0 + np.arange(n // 2 + 1, dtype=np.float64) ** 2) ** s
+    if not np.isfinite(w).all():
+        raise ValueError(f"s = {s:g} overflows (1 + k^2)^s on a grid of {n} points")
     w.setflags(write=False)
     return w
 
@@ -272,12 +275,9 @@ class _PolyPlan:
     A degree-d product reaches mode d*K, which folds onto m - d*K: m > (d+1)*K
     keeps every fold out of the band (the 2/3 rule at d = 2).  m is rounded
     up to a cheap FFT size and is never below n.  The plan is immutable and
-    threads may share one: apply allocates its arrays, or it works in out, a
-    caller-owned (samples, spectrum, padded) triple of shapes (orders, [B,] m),
-    ([B,] m//2 + 1) and (orders, [B,] m//2 + 1), and returns a view of
-    spectrum.  padded must be zero above mode take: the derivative spectra are
-    written into its modes 0..take, so the irfft pads nothing itself (NumPy
-    zero-pads a batch more slowly than it transforms a padded one).
+    threads may share one: apply allocates its arrays or works in out, a caller's
+    (samples, spectrum, padded) of shapes (orders, [B,] m), ([B,] m//2 + 1) and
+    (orders, [B,] m//2 + 1), padded zero above take, and returns a view of spectrum.
     """
 
     __slots__ = ("n", "take", "m", "poly", "rows")
@@ -296,12 +296,7 @@ class _PolyPlan:
         """Modes 0..take of p(u) for u given by its rfft-layout modes (or a stack)."""
         samples, spectrum, padded = out or (None, None, None)
         if self.poly.terms:
-            rows = self.rows if modes.ndim == 1 else self.rows[:, None, :]
-            if padded is None:
-                padded = modes[..., : self.take + 1] * rows
-            else:
-                np.multiply(modes[..., : self.take + 1], rows, out=padded[..., : self.take + 1])
-            vals = np.fft.irfft(padded, n=self.m, norm="forward", out=samples)
+            vals = _sampled(modes, self.rows, self.m, samples, padded)
             band = np.fft.rfft(self.poly.products(vals), norm="forward", out=spectrum)[..., : self.take + 1]
         else:
             band = np.zeros(modes.shape[:-1] + (self.take + 1,), dtype=np.complex128)
@@ -320,6 +315,19 @@ def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> 
     return SpectralField(f.n, _padded(_PolyPlan(p, f.n, dealias).apply(f.modes), f.n))
 
 
+def _sampled(modes: np.ndarray, d_rows: np.ndarray, m: int, samples=None, padded=None) -> np.ndarray:
+    """d^q u on the m-grid, one order per row (ik)^q of d_rows: the one forward sampling transform.
+
+    Its input, padded or a new array, is zero above the rows, so the irfft pads
+    nothing: NumPy pads a batch more slowly than it transforms a padded one.
+    """
+    take = d_rows.shape[-1]
+    if padded is None:
+        padded = np.zeros((len(d_rows), *modes.shape[:-1], m // 2 + 1), np.complex128)
+    np.multiply(modes[..., :take], d_rows if modes.ndim == 1 else d_rows[:, None, :], out=padded[..., :take])
+    return np.fft.irfft(padded, n=m, norm="forward", out=samples)
+
+
 def _padded(band: np.ndarray, n: int) -> np.ndarray:
     """The n-grid half-spectrum of a band of modes 0..K-1 (or of each row of a stack), zero above."""
     out = np.zeros(band.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
@@ -331,8 +339,8 @@ def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
     """int poly(u, u_x, ...) dx for u of band K from its modes 0..K (or more), or for each row of a stack.
 
     A degree-d product reaches mode d*K < m, so none but mode 0 folds onto 0
-    and its mean on a cheap FFT grid m is exact: one irfft (norm="forward"),
-    one sum along the contiguous last axis.  pocketfft transforms each row of
+    and its mean on a cheap FFT grid m is exact: one _sampled transform, one
+    sum along the contiguous last axis.  pocketfft transforms each row of
     a batch as it would that row alone, and a row-wise sum is the row's own
     pairwise sum, so a row's value does not depend on the stack.
     """
@@ -340,11 +348,7 @@ def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
         return np.full(rows.shape[:-1], TAU * poly.const)
     m = _quad_grid(poly.degree, band)
     # a linear integrand's grid may stop below its band; only its mean counts
-    take = min(band, m // 2) + 1
-    d_rows = _d_rows(poly.orders, take)
-    spectra = np.zeros((len(poly.orders), *rows.shape[:-1], m // 2 + 1), np.complex128)
-    np.multiply(rows[..., :take], d_rows if rows.ndim == 1 else d_rows[:, None, :], out=spectra[..., :take])
-    vals = np.fft.irfft(spectra, n=m, norm="forward")
+    vals = _sampled(rows, _d_rows(poly.orders, min(band, m // 2) + 1), m)
     return TAU * (poly.const + np.add.reduce(poly.products(vals), axis=-1) / m)
 
 
@@ -483,8 +487,7 @@ def hierarchy_flow(l: int) -> FlowSpec:
     """u_t = d/dx G_l(u); linear symbol +(ik)^{2l+1}, the rest pointwise."""
     if l < 1:
         raise ValueError("hierarchy flows need l >= 1")
-    g = hierarchy.level(l).g
-    return FlowSpec("hierarchy", total_derivative(g - mono(1, [("u", 2 * l)])), l, 1)
+    return FlowSpec("hierarchy", hierarchy.level(l).rhs - mono(1, [("u", 2 * l + 1)]), l, 1)
 
 
 def rhs_field(flow: FlowSpec, f: SpectralField, dealias: float = 1.0) -> SpectralField:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from kdvlab import hierarchy
-from kdvlab.diffpoly import euler_operator, mono, sym, total_derivative
+from kdvlab.diffpoly import euler_operator, mono, rank_of, sym, total_derivative
 
 GOLDEN = Path(__file__).parent / "golden" / "hierarchy_l8.json"
 
@@ -80,6 +80,71 @@ def test_rank_violation_detected():
     )
     with pytest.raises(hierarchy.RankViolation):
         hierarchy.classify(bad)
+
+
+# the soliton profile exactly: functions sum c T^a th^b of T = sech^2 and th = tanh
+# at kappa = 1, keyed (a, b) with b in {0, 1}, since th^2 = 1 - T
+
+
+def _profile_add(out, key, c):
+    out[key] = out.get(key, 0) + c
+    if not out[key]:
+        del out[key]
+
+
+def _profile_derivative(p):
+    """d/dxi with T' = -2 T th and th' = T: d(T^a) = -2a T^a th, d(T^a th) = -2a T^a + (2a + 1) T^(a+1)."""
+    out = {}
+    for (a, b), c in p.items():
+        if b == 0:
+            _profile_add(out, (a, 1), -2 * a * c)
+        else:
+            _profile_add(out, (a, 0), -2 * a * c)
+            _profile_add(out, (a + 1, 0), (2 * a + 1) * c)
+    return out
+
+
+def _profile_product(p, q):
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            if b1 + b2 == 2:  # th^2 = 1 - T
+                _profile_add(out, (a1 + a2, 0), c1 * c2)
+                _profile_add(out, (a1 + a2 + 1, 0), -c1 * c2)
+            else:
+                _profile_add(out, (a1 + a2, b1 + b2), c1 * c2)
+    return out
+
+
+def _on_soliton_profile(g):
+    """g(12 T) as an exact sum c T^a th^b (the soliton 12 kappa^2 sech^2(kappa xi) at kappa = 1)."""
+    derivs = [{(1, 0): Fraction(12)}]
+    out = {}
+    for m in g:
+        value = {(0, 0): m.coeff}
+        for _, k in m.factors:
+            while len(derivs) <= k:
+                derivs.append(_profile_derivative(derivs[-1]))
+            value = _profile_product(value, derivs[k])
+        for key, c in value.items():
+            _profile_add(out, key, c)
+    return out
+
+
+def test_soliton_profile_is_a_travelling_wave_of_every_flow():
+    # u = 12 kappa^2 sech^2(kappa xi) travels left at speed (4 kappa^2)^l under
+    # u_t = d/dx G_l, so G_l(u) = (4 kappa^2)^l u.  Every monomial of G_l has
+    # rank l + 1 (degree + weight/2; classify audits d/dx G_l at l + 3/2), and
+    # d^k u carries kappa^(2 + k), so both sides are kappa^(2l + 2) times their
+    # kappa = 1 values, which must agree exactly
+    for l in range(1, 9):
+        g = hierarchy.level(l).g
+        assert {rank_of(m) for m in g} == {l + 1}
+        value = _on_soliton_profile(g)
+        assert value == {(1, 0): 12 * 4**l}, l
+        # one coefficient off (the u^(l+1) term doubled) breaks it: the check has teeth
+        top = g.monomials[-1]
+        assert _on_soliton_profile(g + mono(top.coeff, list(top.factors))) != value, l
 
 
 def test_hamiltonian_gradient_recovers_integrand():

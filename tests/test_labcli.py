@@ -361,6 +361,18 @@ def test_solve_refuses_a_below_threshold_energy_s_before_any_step(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["diagnostics.s = 400", "energy.s = 400"])
+def test_solve_refuses_an_overflowing_s_before_any_step(tmp_path, capsys, monkeypatch, line):
+    # (1 + k^2)^400 overflows on the grid: refused before the energy is built or a step is taken
+    monkeypatch.setattr(cli, "build_energy", _no_run)
+    monkeypatch.setattr(cli, "solve", _no_run)
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, line))
+    assert main(["solve", "--config", cfg]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "case",
     ["output-dir-missing", "output-is-a-dir", "manifest-dir-missing", "manifest-is-the-output",
@@ -520,8 +532,10 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
     [
         ("energy-drift", "s = inf"),
         ("energy-drift", "s = 3.5"),
+        ("energy-drift", "s = 400"),
         ("bona-smith", "s = nan"),
         ("bona-smith", "s = inf"),
+        ("bona-smith", "s = 400"),
         ("conservation", "t_final = 0"),
         ("mu-cauchy", "t_final = 0"),
         ("energy-drift", "t_final = 0"),
