@@ -34,7 +34,6 @@ from .ibpcalc import alpha_coeffs, verify_identity
 from .manifest import RunManifest
 from .modenergy import (
     SingularSystem,
-    ThresholdViolation,
     _check_threshold,
     build_energy,
     evaluate_energy,
@@ -85,8 +84,6 @@ def _fmt(v) -> str:
         return "1" if v else "0"
     if isinstance(v, float):
         return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
     return str(v)
 
 
@@ -387,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlowUp as exc:
         print(f"error: blow-up at t = {exc.time:g}: {exc}", file=sys.stderr)
         return 2
-    except (ThresholdViolation, SingularSystem, ValueError, KeyError, OSError) as exc:
+    except (SingularSystem, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -102,6 +102,14 @@ def _solver_config(cfg: dict, **changes) -> SolverConfig:
     return SolverConfig(**{**fields, **changes})
 
 
+def _ladder(cfg: dict, key: str, n: int) -> tuple:
+    """cfg[key], refused unless it holds n or more distinct values, each > 0 (n = 2 for a rate fit)."""
+    vals = cfg[key]
+    if len(set(vals)) < n or min(vals) <= 0:
+        raise ValueError(f"config key {key!r} needs {n} or more distinct values, each > 0, got {vals}")
+    return vals
+
+
 def _loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
@@ -198,13 +206,11 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
     [slope_lo, slope_hi].  Each member is bit-identical to its own solve.
     """
     cfg = _resolve(MU_CAUCHY_DEFAULTS, config)
-    mus = cfg["mus"]
-    if len(set(mus)) < 2 or min(mus) <= 0.0:
-        raise ValueError(f"mu-cauchy: the rate fit needs at least two distinct positive mus, got {mus}")
+    mus = _ladder(cfg, "mus", 2)
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
     sc = _solver_config(cfg, hamiltonians=())
-    needed = sorted({m for mu in cfg["mus"] for m in (mu, mu / 2)}, reverse=True)
-    pairs = [(needed.index(mu), needed.index(mu / 2)) for mu in cfg["mus"]]
+    needed = sorted({m for mu in mus for m in (mu, mu / 2)}, reverse=True)
+    pairs = [(needed.index(mu), needed.index(mu / 2)) for mu in mus]
     dists = [-math.inf] * len(pairs)
 
     def observe(states: list[SpectralField]):
@@ -213,9 +219,9 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
             dists[i] = max(dists[i], d)
 
     solve_batch(u0, [regularized_flow(cfg["l"], mu) for mu in needed], sc, observe)
-    rows = [[mu, mu / 2, d] for mu, d in zip(cfg["mus"], dists)]
+    rows = [[mu, mu / 2, d] for mu, d in zip(mus, dists)]
     if min(dists) > 0.0:
-        slope = _loglog_slope(cfg["mus"], dists)
+        slope = _loglog_slope(mus, dists)
         ok = cfg["slope_lo"] <= slope <= cfg["slope_hi"]
     else:
         # constant-in-mu path (zero data): Cauchy trivially
@@ -259,13 +265,7 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     at least beta - conv_margin.
     """
     cfg = _resolve(BONA_SMITH_DEFAULTS, config)
-    eps = cfg["eps"]
-    if len(set(eps)) < 2 or min(eps) <= 0:
-        raise ValueError(f"bona-smith: the rate fits need at least two distinct positive eps, got {eps}")
-    if min(cfg["nus"]) <= 0:
-        raise ValueError(f"bona-smith: the growth gate needs every nu > 0, got {cfg['nus']}")
-    if min(cfg["betas"]) <= 0:
-        raise ValueError(f"bona-smith: the convergence gate needs every beta > 0, got {cfg['betas']}")
+    eps, nus, betas = _ladder(cfg, "eps", 2), _ladder(cfg, "nus", 1), _ladder(cfg, "betas", 1)
     # the rates are read off frequencies near 1/eps, so the band must reach them
     band, finest = cfg["n"] // 2 - 1, 1.0 / min(eps)
     if band < finest:
@@ -286,24 +286,24 @@ def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
             f"bona-smith: the rate fits need 0 <= kmin < n/2 and a field that is nonzero above kmin, "
             f"got amplitude = {cfg['amplitude']}, kmin = {cfg['kmin']}, n = {cfg['n']}"
         )
-    molls = {e: mollify(phi, e, cfg["moll_order"]) for e in cfg["eps"]}
+    molls = {e: mollify(phi, e, cfg["moll_order"]) for e in eps}
 
     rows_g, rows_c = [], []
     ok = True
     metrics: dict = {"s": s, "eta": cfg["eta"]}
-    for nu in cfg["nus"]:
-        norms = [sobolev_norm(molls[e], s + nu) for e in cfg["eps"]]
-        slope = _loglog_slope(cfg["eps"], norms)
+    for nu in nus:
+        norms = [sobolev_norm(molls[e], s + nu) for e in eps]
+        slope = _loglog_slope(eps, norms)
         ok = ok and abs(slope - (-nu)) <= cfg["growth_band"] * nu
         metrics[f"growth_slope_nu_{nu}"] = slope
-        for e, v in zip(cfg["eps"], norms):
+        for e, v in zip(eps, norms):
             rows_g.append([nu, e, v])
-    for beta in cfg["betas"]:
-        diffs = [sobolev_norm(phi - molls[e], s - beta) for e in cfg["eps"]]
-        slope = _loglog_slope(cfg["eps"], diffs)
+    for beta in betas:
+        diffs = [sobolev_norm(phi - molls[e], s - beta) for e in eps]
+        slope = _loglog_slope(eps, diffs)
         ok = ok and slope >= beta - cfg["conv_margin"]
         metrics[f"conv_slope_beta_{beta}"] = slope
-        for e, v in zip(cfg["eps"], diffs):
+        for e, v in zip(eps, diffs):
             rows_c.append([beta, e, v])
 
     return ExperimentResult(
@@ -376,11 +376,7 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     """
     cfg = _resolve(ENERGY_DRIFT_DEFAULTS, config)
     l, s = cfg["l"], cfg["s"]
-    k0s = cfg["contrast_k0"]
-    if len(set(k0s)) < 2 or min(k0s) < 1:
-        raise ValueError(
-            f"energy-drift: the contrast ladder needs at least two distinct positive rungs, got {k0s}"
-        )
+    k0s = _ladder(cfg, "contrast_k0", 2)
     amp_lo, amp_hi, amps = (cfg[f"coercivity_{key}"] for key in ("amp_lo", "amp_hi", "amplitudes"))
     if min(amp_lo, amp_hi) <= 0 or amps < 1:
         raise ValueError(
@@ -424,7 +420,7 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
 
     rows_contrast = []
     ratios = []
-    for k0 in cfg["contrast_k0"]:
+    for k0 in k0s:
         n = max(cfg["n"], 8 * int(k0))
         u = cfg["amplitude"] * (cosine_field(n, 1) + float(k0) ** (-s) * cosine_field(n, int(k0)))
         raw = _directional_rate(lambda w: _raw_rate(flow, w, s), flow, u)

@@ -280,12 +280,11 @@ class _PolyPlan:
     (orders, [B,] m//2 + 1), padded zero above take, and returns a view of spectrum.
     """
 
-    __slots__ = ("n", "take", "m", "poly", "rows")
+    __slots__ = ("take", "m", "poly", "rows")
 
     def __init__(self, p: DiffPoly, n: int, dealias: float):
         if not (0.0 < dealias <= 1.0):
             raise ValueError("dealias fraction must lie in (0, 1]")
-        self.n = n
         # the Nyquist mode of a field is zero, so the kept band stops below it
         self.take = min(int(dealias * (n // 2)), n // 2 - 1)
         self.poly = _Monomials(p)
@@ -449,11 +448,11 @@ def random_decay_field(
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """u_t = (dispersion (ik)^{2l+1} - damping k^{2l+2}) u + nonlinear(u); dispersion
-    is +1 for the hierarchy and -1 for the model flow, damping is mu >= 0."""
+    """u_t = (dispersion (ik)^{2l+1} - damping k^{2l+2}) u + nonlinear(u), DiffPoly() for a
+    linear flow; dispersion is +1 for the hierarchy and -1 for the model flow, damping mu >= 0."""
 
     name: str
-    nonlinear: DiffPoly | None
+    nonlinear: DiffPoly
     l: int
     dispersion: int
     damping: float = 0.0
@@ -492,10 +491,7 @@ def hierarchy_flow(l: int) -> FlowSpec:
 
 def rhs_field(flow: FlowSpec, f: SpectralField, dealias: float = 1.0) -> SpectralField:
     """Full right-hand side of the flow at a state, alias-free products."""
-    out = f.modes * flow.linear_on(f.n)
-    if flow.nonlinear is not None:
-        out = out + eval_diffpoly(flow.nonlinear, f, dealias).modes
-    return SpectralField(f.n, out)
+    return SpectralField(f.n, f.modes * flow.linear_on(f.n) + eval_diffpoly(flow.nonlinear, f, dealias).modes)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +536,7 @@ class _Stepper:
     def __init__(self, flows: Sequence[FlowSpec], n: int, dt: float, dealias: float, order: int):
         self.dt = dt
         self.order = order
-        nonlinear = flows[0].nonlinear
-        plan = _PolyPlan(DiffPoly() if nonlinear is None else nonlinear, n, dealias)
+        plan = _PolyPlan(flows[0].nonlinear, n, dealias)
         self._nl = plan.apply
         self.take = plan.take
         lin = np.array([flow.linear_on(n)[: plan.take + 1] for flow in flows])

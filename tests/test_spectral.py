@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kdvlab import spectral
-from kdvlab.diffpoly import sym
+from kdvlab.diffpoly import DiffPoly, sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
     _Monomials,
@@ -224,7 +224,7 @@ def test_hierarchy_flow_reduces_to_kdv():
 def test_linear_evolution_is_exact():
     # zero nonlinearity: one ETDRK step reproduces exp(t L) to roundoff
     n, dt = 64, 0.1
-    lin = dataclasses.replace(model_flow(2), name="linear", nonlinear=None)
+    lin = dataclasses.replace(model_flow(2), name="linear", nonlinear=DiffPoly())
     f = cosine_field(n, 3)
     g, _ = solve(f, lin, SolverConfig(n=n, dt=dt, t_final=dt, hamiltonians=()))
     exact = f.modes * np.exp(lin.linear_on(n) * dt)
