@@ -240,6 +240,7 @@ def _cmd_solve(args, argv) -> int:
     _destination("--manifest", args.manifest)
     _apart("output.path", cfg["output.path"], lambda p: p == config)
     _apart("--manifest", args.manifest, lambda p: p in (config, out))
+    man = RunManifest(command="kdvlab " + " ".join(argv), config=cfg)
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
@@ -275,7 +276,6 @@ def _cmd_solve(args, argv) -> int:
     _write_csv(out_path, CSV_COLUMNS, rows)
 
     if args.manifest:
-        man = RunManifest(command="kdvlab " + " ".join(argv), config=cfg)
         man.add_output(str(out_path))
         man.finish()
         man.write(args.manifest)

@@ -111,7 +111,10 @@ def _ladder(cfg: dict, key: str, n: int) -> tuple:
 
 
 def _loglog_slope(xs, ys) -> float:
-    return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
+    pts = np.array([xs, ys], float)
+    if not (np.isfinite(pts).all() and (pts > 0).all()):
+        raise ValueError(f"a log-log rate fit needs values that are finite and > 0, got {pts[1].tolist()}")
+    return float(np.polyfit(*np.log(pts), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +256,8 @@ BONA_SMITH_DEFAULTS = {
 }
 
 
+# an overflowing norm is refused by _loglog_slope, not also reported by NumPy
+@np.errstate(over="ignore", invalid="ignore")
 def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     """Mollifier rate study on a field with prescribed spectral decay.
 

@@ -438,7 +438,10 @@ def random_decay_field(
     modes = np.zeros(half + 1, dtype=np.complex128)
     k = np.arange(1, kmax + 1, dtype=np.float64)
     phases = rng.uniform(0.0, TAU, size=kmax)
-    modes[1 : kmax + 1] = amplitude * k ** (-decay) * np.exp(1j * phases)
+    with np.errstate(over="ignore", invalid="ignore"):
+        modes[1 : kmax + 1] = amplitude * k ** (-decay) * np.exp(1j * phases)
+    if not np.isfinite(modes).all():
+        raise ValueError(f"amplitude {amplitude:g} * k^{-decay:g} overflows on modes 1..{kmax}")
     return SpectralField(n, modes)
 
 
@@ -459,11 +462,14 @@ class FlowSpec:
 
     def linear_on(self, n: int) -> np.ndarray:
         k = np.arange(n // 2 + 1, dtype=np.float64)
-        sym = (1j * k) ** (2 * self.l + 1)
-        if self.dispersion < 0:
-            sym = -sym  # not -1 * sym, which flips the sign of the k = 0 zero
-        sym = sym - self.damping * k ** (2 * self.l + 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = (1j * k) ** (2 * self.l + 1)
+            if self.dispersion < 0:
+                sym = -sym  # not -1 * sym, which flips the sign of the k = 0 zero
+            sym = sym - self.damping * k ** (2 * self.l + 2)
         sym[-1] = 0.0
+        if not np.isfinite(sym).all():
+            raise ValueError(f"{self.name} flow's symbol (l = {self.l}, mu = {self.damping:g}) overflows on N = {n}")
         return sym
 
 

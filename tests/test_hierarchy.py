@@ -82,6 +82,11 @@ def test_rank_violation_detected():
         hierarchy.classify(bad)
 
 
+def test_a_negative_level_is_refused():
+    with pytest.raises(ValueError, match="^level must be nonnegative$"):
+        hierarchy.generate(-1)
+
+
 # the soliton profile exactly: functions sum c T^a th^b of T = sech^2 and th = tanh
 # at kappa = 1, keyed (a, b) with b in {0, 1}, since th^2 = 1 - T
 

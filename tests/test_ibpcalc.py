@@ -43,6 +43,11 @@ def test_one_based_indexing_and_diagonal():
         t[5]
 
 
+def test_a_negative_level_is_refused():
+    with pytest.raises(ValueError, match="^l must be nonnegative$"):
+        alpha_coeffs(-1)
+
+
 def test_diagonal_law():
     # alpha_{l,l} = (-1)^{l+1} (2l+1), exact rational equality
     for l in range(1, 13):

@@ -208,6 +208,27 @@ def test_solve_manifest(tmp_path):
     assert man["config"]["flow.kind"] == "model"
 
 
+def test_solve_manifest_is_started_before_the_run(tmp_path, monkeypatch):
+    # the manifest's started stamp is taken when it is built: that comes before the march
+    events = []
+
+    class Manifest(cli.RunManifest):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            events.append("started")
+
+    def solve(*args, **kwargs):
+        events.append("solve")
+        return real_solve(*args, **kwargs)
+
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "RunManifest", Manifest)
+    monkeypatch.setattr(cli, "solve", solve)
+    cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=tmp_path / "run.csv"))
+    assert main(["solve", "--config", cfg, "--manifest", str(tmp_path / "m.json")]) == 0
+    assert events == ["started", "solve"]
+
+
 def test_solve_with_energy_column(tmp_path):
     out = tmp_path / "run.csv"
     cfg = _write(
@@ -331,6 +352,12 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
         "flow.kind = hierarchy\nenergy.s = 5",
         "energy.s = 3",
         "energy.s = 3.5",
+        # mu k^6 overflows: the linear symbol is refused before the first step
+        "flow.kind = regularized\nflow.mu = 1e300",
+        # k^50 * 1e300 overflows: the random start is refused
+        "ic.kind = random\nic.decay = -50\nic.amplitude = 1e300",
+        "ic.kind = sine",
+        "flow.kind = kdv",
     ],
 )
 def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
@@ -514,6 +541,7 @@ def test_exp_bona_smith_grid_too_small_for_fit_exits_2(tmp_path, capsys, line):
         "mus = 0.01, -0.005",
         "mus = 0.01, nan",
         "mus = 0.01, inf",
+        "mus = 1e300, 1e299",
     ],
 )
 def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
@@ -553,6 +581,10 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("bona-smith", "amplitude = 0"),
         ("bona-smith", "kmin = 1024"),
         ("bona-smith", "kmin = -1"),
+        # the field's modes overflow (k^399.49), its norms overflow, its norms underflow to 0
+        ("bona-smith", "s = -400"),
+        ("bona-smith", "amplitude = 1e300"),
+        ("bona-smith", "amplitude = 1e-320"),
     ],
 )
 def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, name, line):

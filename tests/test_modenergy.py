@@ -307,6 +307,20 @@ def test_pterm_factory_normalization():
         pterm(1, -1, (0,), -2, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_energy(1), "model flow requires l >= 2"),
+        (lambda: build_energy(2, max_stage=4), "stage must be in 3..3"),
+        (lambda: quadratic_derivative(1), "model flow requires l >= 2"),
+    ],
+)
+def test_bad_levels_and_stages_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_pterm_quadrature_hand_value():
     # int u (D^{s-2} du)^2 on u = cos x + cos 2x, s = 4:
     # only the cross term survives: 2^{sigma+1} pi with sigma = 2, plus

@@ -345,6 +345,40 @@ def test_config_rejects_bad_hamiltonians(hams):
         SolverConfig(hamiltonians=hams)
 
 
+_F8, _F16 = cosine_field(8, 1), cosine_field(16, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SpectralField(9, np.zeros(5)), "grid size must be even and >= 4"),
+        (lambda: SpectralField(8, np.zeros(4)), "mode array does not match grid size"),
+        (lambda: _F8 + _F16, "grid mismatch"),
+        (lambda: _F8 - _F16, "grid mismatch"),
+        (lambda: l2_inner(_F8, _F16), "grid mismatch"),
+        (lambda: multiplier(_F8, "x"), "unknown multiplier kind 'x'"),
+        (lambda: multiplier(_F8, "d", 1.5), "derivative order must be a nonnegative integer"),
+        (lambda: multiplier(_F8, "d", -1), "derivative order must be a nonnegative integer"),
+        (lambda: mollify(_F8, 0.0), "need eps > 0 and m >= 1"),
+        (lambda: mollify(_F8, 0.1, 0), "need eps > 0 and m >= 1"),
+        (lambda: scale_field(_F8, 0), "scaling factor must be a positive integer"),
+        (lambda: scale_field(_F8, 1.5), "scaling factor must be a positive integer"),
+        (lambda: cosine_field(8, 4), "wavenumber must lie in [1, N/2)"),
+        (lambda: random_decay_field(8, 1.0, 0, kmax=4), "kmax must lie in [1, N/2 - 1]"),
+        (lambda: model_flow(1), "the model flow needs l >= 2"),
+        (lambda: hierarchy_flow(0), "hierarchy flows need l >= 1"),
+        (lambda: regularized_flow(2, -1.0), "mu must be finite and >= 0, got -1.0"),
+        (lambda: SolverConfig(t_final=-1.0), "need a finite t_final >= 0, got -1.0"),
+        (lambda: _PolyPlan(model_flow(2).nonlinear, 64, 0.0), "dealias fraction must lie in (0, 1]"),
+        (lambda: eval_diffpoly(sym("u") * sym("v"), _F8), "numeric evaluation needs a single-symbol polynomial"),
+    ],
+)
+def test_bad_arguments_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_integrator_refinement_order():
     # order-4 stepping on the KdV flow: halving dt shrinks the error ~16x
     f = 0.1 * cosine_field(64, 1)
@@ -437,6 +471,24 @@ def test_l3_soliton_survives_etd4():
     assert np.max(np.abs(u.values() - exact)) <= 1e-2 * np.max(exact)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ETD4 converges on the l = 2 soliton at rates 0.71, 3.21 and 2.10 over 100..800 steps, not 4",
+)
+def test_l2_soliton_travels_at_etd4_order():
+    # hierarchy_flow(2) over T = 1/(4 kappa^2)^2 moves the soliton one unit left
+    kappa, n = 4, 256
+    t_final = 1.0 / (4 * kappa**2) ** 2
+    exact = _soliton(n, kappa, math.pi - 1.0).values()
+    errors = []
+    for steps in (100, 200, 400, 800):
+        cfg = SolverConfig(n=n, dt=t_final / steps, t_final=t_final, diagnostics_every=steps, hamiltonians=())
+        u, _ = solve(_soliton(n, kappa), hierarchy_flow(2), cfg)
+        errors.append(np.max(np.abs(u.values() - exact)) / np.max(exact))
+    rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert min(rates) >= 3.5, (errors, rates)
+
+
 # ---------------------------------------------------------------------------
 # beyond one soliton: two solitons through their collision, and commuting flows
 # (Hirota, PRL 1971; Lax, CPAM 1968)
@@ -524,13 +576,14 @@ def test_l2_two_soliton_survives_etd4():
     assert np.max(np.abs(u.values() - exact)) <= 1e-2 * np.max(exact)
 
 
-def _commutation_gap(flow, t_flow, steps):
+def _commutation_gap(flow, t_flow, steps, kmax=10):
     """Relative max gap between hier1 over 0.05 after flow over t_flow and before it, ETD4.
 
-    The data are band 10: with the default kmax = 63 the hier1/hier2 gap shrinks
-    at rates 0.8 to 1.7 over 50..3200 steps, for ETD2 as for ETD4.
+    The data have band kmax: at kmax = 10 the hier1/hier2 gap shrinks at ETD4's
+    order, at kmax = 20 at rates 1.2 to 1.65 over 100..800 steps, and at the
+    default kmax = 63 at rates 0.8 to 1.7 over 50..3200 steps, for ETD2 as for ETD4.
     """
-    u = random_decay_field(128, decay=6, seed=1, amplitude=1.0, kmax=10)
+    u = random_decay_field(128, decay=6, seed=1, amplitude=1.0, kmax=kmax)
 
     def leg(v, f, t):
         return solve(v, f, SolverConfig(n=128, dt=t / steps, t_final=t, diagnostics_every=steps, hamiltonians=()))[0]
@@ -555,6 +608,16 @@ def test_hierarchy_flows_commute_at_the_integrators_order():
 def test_hier1_and_hier3_commute_as_the_steps_shrink():
     coarse, fine = (_commutation_gap(hierarchy_flow(3), 7.8e-4, steps) for steps in (100, 1600))
     assert fine <= coarse / 4, (coarse, fine)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="on band-20 data ETD4's hier1/hier2 gap shrinks at rates 1.20, 1.65 and 1.52 over 100..800 steps",
+)
+def test_hier1_and_hier2_commute_at_order_on_band_20_data():
+    gaps = [_commutation_gap(hierarchy_flow(2), 6.25e-3, steps, kmax=20) for steps in (100, 200, 400, 800)]
+    rates = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert min(rates) >= 2.5, (gaps, rates)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kdvlab.spoly import SPoly, binom_s
@@ -59,6 +60,11 @@ def test_binom_s():
             p = binom_s(off, j)
             for sv in range(j + 4, j + 9):
                 assert p(sv) == math.comb(sv + off, j)
+
+
+def test_a_negative_binomial_order_is_refused():
+    with pytest.raises(ValueError, match="^binomial order must be nonnegative$"):
+        binom_s(0, -1)
 
 
 def test_roundtrip_serialization():
