@@ -210,7 +210,7 @@ def test_solve_manifest(tmp_path):
 
 def test_solve_manifest_is_started_before_the_run(tmp_path, monkeypatch):
     # the manifest's started stamp is taken when it is built: that comes before the march
-    events = []
+    events, real_solve = [], cli.solve
 
     class Manifest(cli.RunManifest):
         def __init__(self, *args, **kwargs):
@@ -221,7 +221,6 @@ def test_solve_manifest_is_started_before_the_run(tmp_path, monkeypatch):
         events.append("solve")
         return real_solve(*args, **kwargs)
 
-    real_solve = cli.solve
     monkeypatch.setattr(cli, "RunManifest", Manifest)
     monkeypatch.setattr(cli, "solve", solve)
     cfg = _write(tmp_path, "s.cfg", SOLVE_CFG.format(out=tmp_path / "run.csv"))
