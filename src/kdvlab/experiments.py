@@ -33,6 +33,7 @@ from .spectral import (
     SolverConfig,
     SpectralField,
     _padded,
+    _sobolev_norms,
     _sobolev_weights,
     cosine_field,
     hierarchy_flow,
@@ -213,12 +214,14 @@ def exp_mu_cauchy(config: dict | None = None) -> ExperimentResult:
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
     sc = _solver_config(cfg, hamiltonians=())
     needed = sorted({m for mu in mus for m in (mu, mu / 2)}, reverse=True)
-    pairs = [(needed.index(mu), needed.index(mu / 2)) for mu in mus]
-    dists = [-math.inf] * len(pairs)
+    firsts = [needed.index(mu) for mu in mus]
+    seconds = [needed.index(mu / 2) for mu in mus]
+    dists = [-math.inf] * len(mus)
 
     def observe(states: list[SpectralField]):
-        for i, (a, b) in enumerate(pairs):
-            d = sobolev_norm(states[a] - states[b], 0.0)
+        modes = np.array([f.modes for f in states])
+        # one stacked norm: each row's is sobolev_norm(states[a] - states[b], 0.0) bit for bit
+        for i, d in enumerate(_sobolev_norms(modes[firsts] - modes[seconds], 0.0).tolist()):
             dists[i] = max(dists[i], d)
 
     solve_batch(u0, [regularized_flow(cfg["l"], mu) for mu in needed], sc, observe)
@@ -398,6 +401,17 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     u0 = random_decay_field(
         cfg["n"], decay=cfg["decay"], seed=cfg["seed"], amplitude=cfg["amplitude"], kmax=cfg["kmax"]
     )
+    profile = random_decay_field(cfg["n"], decay=cfg["decay"], seed=cfg["seed"], kmax=cfg["kmax"])
+    profile = (1.0 / sobolev_norm(profile, s)) * profile
+    scan = np.geomspace(amp_lo, amp_hi, amps)
+    amp_top = float(scan.max())
+    # the scan's values grow with the amplitude, so its largest one must be finite
+    # (a NumPy square: a Python float's ** raises OverflowError instead of giving inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = amp_top * profile
+        values = [evaluate_energy(bp, s, top), 0.5 * np.float64(sobolev_norm(top, s)) ** 2]
+    if not np.isfinite(values).all():
+        raise ValueError(f"energy-drift: E^s or 1/2 |u|_{{H^s}}^2 overflows at the coercivity amplitude {amp_top:g}")
 
     states: list[SpectralField] = []
     _, diag = solve(u0, flow, sc, states.append)
@@ -435,12 +449,10 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     contrast_monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     contrast_growth = ratios[-1] / ratios[0]
 
-    profile = random_decay_field(cfg["n"], decay=cfg["decay"], seed=cfg["seed"], kmax=cfg["kmax"])
-    profile = (1.0 / sobolev_norm(profile, s)) * profile
     rows_coer = []
     delta = 0.0
     window_open = True
-    for amp in np.geomspace(amp_lo, amp_hi, amps):
+    for amp in scan:
         u = float(amp) * profile
         e = evaluate_energy(bp, s, u)
         half = 0.5 * sobolev_norm(u, s) ** 2

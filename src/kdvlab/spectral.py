@@ -48,6 +48,10 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 
+# np.errstate settings where the code tests for overflow itself, so that each
+# overflow is reported once, by that test, and not also by NumPy
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
 
 class BlowUp(RuntimeError):
     """A mode, or a recorded norm or Hamiltonian, became non-finite: instability
@@ -193,12 +197,6 @@ def _product_grid(degree: int, band: int) -> int:
     return m + (m % 2)
 
 
-# bounded: one key per (degree, band); a solve's records reuse a handful
-@functools.lru_cache(maxsize=256)
-def _quad_grid(degree: int, band: int) -> int:
-    return _fast_size(_product_grid(degree, band))
-
-
 def _d_weights(n: int, sigma: float) -> np.ndarray:
     """|k|^sigma for k = 0..n/2, the k=0 value 0 for sigma != 0 (projection convention)."""
     k = np.arange(n // 2 + 1, dtype=np.float64)
@@ -209,6 +207,8 @@ def _d_weights(n: int, sigma: float) -> np.ndarray:
     return w
 
 
+# bounded: one key per plan and per (degree, band) of a quadrature; a solve's records reuse a handful
+@functools.lru_cache(maxsize=256)
 def _fast_size(m: int) -> int:
     """Smallest even 2^a 3^b 5^c >= m: a padded grid with a cheap FFT."""
     best = 2 * m
@@ -270,14 +270,12 @@ class _PolyPlan:
     0..take.  Both transforms take norm="forward": pocketfft applies the 1/m,
     with no array pass of its own (bit for bit the m-scaled samples and
     1/m-scaled spectrum when m is a power of two, roundoff apart otherwise).
-    A stack of spectra, shape (B, len), is one batch: its samples are laid
+    A stack of bands, shape (B, take+1), is one batch: its samples are laid
     out (order, batch, m) and every row keeps the bits it has alone.
     A degree-d product reaches mode d*K, which folds onto m - d*K: m > (d+1)*K
     keeps every fold out of the band (the 2/3 rule at d = 2).  m is rounded
     up to a cheap FFT size and is never below n.  The plan is immutable and
-    threads may share one: apply allocates its arrays or works in out, a caller's
-    (samples, spectrum, padded) of shapes (orders, [B,] m), ([B,] m//2 + 1) and
-    (orders, [B,] m//2 + 1), padded zero above take, and returns a view of spectrum.
+    threads may share one; bind makes evaluators bound to buffers of their own.
     """
 
     __slots__ = ("take", "m", "poly", "rows")
@@ -291,17 +289,33 @@ class _PolyPlan:
         self.m = max(_fast_size((self.poly.degree + 1) * self.take + 1), n)
         self.rows = _d_rows(self.poly.orders, self.take + 1)
 
-    def apply(self, modes: np.ndarray, out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-        """Modes 0..take of p(u) for u given by its rfft-layout modes (or a stack)."""
-        samples, spectrum, padded = out or (None, None, None)
-        if self.poly.terms:
-            vals = _sampled(modes, self.rows, self.m, samples, padded)
-            band = np.fft.rfft(self.poly.products(vals), norm="forward", out=spectrum)[..., : self.take + 1]
-        else:
-            band = np.zeros(modes.shape[:-1] + (self.take + 1,), dtype=np.complex128)
-        if self.poly.const:
-            band[..., 0] += self.poly.const
-        return band
+    def bind(self, batch, count=1):
+        """count evaluators of modes 0..take of p(u), u a band of shape (*batch, take+1).
+
+        Each returns a view of its own spectrum, valid until its next call; all
+        share one sampler, whose buffers each call uses up.
+        """
+        poly = self.poly
+        spectra = np.zeros((count, *batch, self.m // 2 + 1), np.complex128)
+        # a polynomial without factors is its constant, set here once (an rfft overwrites it)
+        spectra[..., 0] = poly.const
+        sample = poly.terms and _sampler(self.rows, batch, self.m)
+
+        def bound(spectrum, band):
+            def evaluate(u):
+                if sample:
+                    np.fft.rfft(poly.products(sample(u)), norm="forward", out=spectrum)
+                    if poly.const:
+                        band[..., 0] += poly.const
+                return band
+
+            return evaluate
+
+        return [bound(s, s[..., : self.take + 1]) for s in spectra]
+
+    def apply(self, modes: np.ndarray) -> np.ndarray:
+        """Modes 0..take of p(u) for u's rfft-layout modes (or a stack), in new arrays."""
+        return self.bind(modes.shape[:-1])[0](modes[..., : self.take + 1])
 
 
 def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> SpectralField:
@@ -314,17 +328,24 @@ def eval_diffpoly(p: DiffPoly, f: SpectralField, dealias: float = 2.0 / 3.0) -> 
     return SpectralField(f.n, _padded(_PolyPlan(p, f.n, dealias).apply(f.modes), f.n))
 
 
-def _sampled(modes: np.ndarray, d_rows: np.ndarray, m: int, samples=None, padded=None) -> np.ndarray:
-    """d^q u on the m-grid, one order per row (ik)^q of d_rows: the one forward sampling transform.
+def _sampler(d_rows, batch, m):
+    """The one forward sampling transform, bound to buffers for bands of shape (*batch, take).
 
-    Its input, padded or a new array, is zero above the rows, so the irfft pads
-    nothing: NumPy pads a batch more slowly than it transforms a padded one.
+    It maps modes 0..take-1 of u to d^q u on the m-grid, one order per row
+    (ik)^q of d_rows, as views of samples that its next call overwrites.
     """
-    take = d_rows.shape[-1]
-    if padded is None:
-        padded = np.zeros((len(d_rows), *modes.shape[:-1], m // 2 + 1), np.complex128)
-    np.multiply(modes[..., :take], d_rows if modes.ndim == 1 else d_rows[:, None, :], out=padded[..., :take])
-    return np.fft.irfft(padded, n=m, norm="forward", out=samples)
+    # the input is zero above the rows, so the irfft pads nothing: NumPy pads
+    # a batch more slowly than it transforms a padded one
+    padded = np.zeros((len(d_rows), *batch, m // 2 + 1), np.complex128)
+    samples = np.empty((len(d_rows), *batch, m))
+    head, rows, views = padded[..., : d_rows.shape[-1]], d_rows[:, None] if batch else d_rows, tuple(samples)
+
+    def sample(band):
+        np.multiply(band, rows, head)
+        np.fft.irfft(padded, n=m, norm="forward", out=samples)
+        return views
+
+    return sample
 
 
 def _padded(band: np.ndarray, n: int) -> np.ndarray:
@@ -338,16 +359,17 @@ def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
     """int poly(u, u_x, ...) dx for u of band K from its modes 0..K (or more), or for each row of a stack.
 
     A degree-d product reaches mode d*K < m, so none but mode 0 folds onto 0
-    and its mean on a cheap FFT grid m is exact: one _sampled transform, one
+    and its mean on a cheap FFT grid m is exact: one _sampler transform, one
     sum along the contiguous last axis.  pocketfft transforms each row of
     a batch as it would that row alone, and a row-wise sum is the row's own
     pairwise sum, so a row's value does not depend on the stack.
     """
     if not poly.terms:
         return np.full(rows.shape[:-1], TAU * poly.const)
-    m = _quad_grid(poly.degree, band)
+    m = _fast_size(_product_grid(poly.degree, band))
     # a linear integrand's grid may stop below its band; only its mean counts
-    vals = _sampled(rows, _d_rows(poly.orders, min(band, m // 2) + 1), m)
+    take = min(band, m // 2) + 1
+    vals = _sampler(_d_rows(poly.orders, take), rows.shape[:-1], m)(rows[..., :take])
     return TAU * (poly.const + np.add.reduce(poly.products(vals), axis=-1) / m)
 
 
@@ -358,7 +380,7 @@ def functional_eval(e: IntegralExpr | DiffPoly, f: SpectralField) -> float:
 
 
 # a huge but finite state overflows here first: one BlowUp, no warning
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(**_QUIET)
 def _record_values(rows: np.ndarray, polys: Sequence[_Monomials]) -> np.ndarray:
     """[sobolev_norm(f, 0), functional_eval(p, f) for p in polys] for the field f of each row.
 
@@ -438,7 +460,7 @@ def random_decay_field(
     modes = np.zeros(half + 1, dtype=np.complex128)
     k = np.arange(1, kmax + 1, dtype=np.float64)
     phases = rng.uniform(0.0, TAU, size=kmax)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         modes[1 : kmax + 1] = amplitude * k ** (-decay) * np.exp(1j * phases)
     if not np.isfinite(modes).all():
         raise ValueError(f"amplitude {amplitude:g} * k^{-decay:g} overflows on modes 1..{kmax}")
@@ -462,7 +484,7 @@ class FlowSpec:
 
     def linear_on(self, n: int) -> np.ndarray:
         k = np.arange(n // 2 + 1, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET):
             sym = (1j * k) ** (2 * self.l + 1)
             if self.dispersion < 0:
                 sym = -sym  # not -1 * sym, which flips the sign of the k = 0 zero
@@ -505,7 +527,8 @@ def rhs_field(flow: FlowSpec, f: SpectralField, dealias: float = 1.0) -> Spectra
 
 
 def _phi(j: int, z: np.ndarray) -> np.ndarray:
-    """phi_j(z) = sum_{n>=0} z^n/(n+j)!; Taylor near 0, closed form away."""
+    """phi_j(z) = sum_{n>=0} z^n/(n+j)!, j = 1, 2, 3; Taylor near 0, closed form away,
+    and phi_j = (phi_{j-1} - 1/(j-1)!)/z where z^j overflows."""
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty_like(z)
     small = np.abs(z) <= 1.0
@@ -516,15 +539,13 @@ def _phi(j: int, z: np.ndarray) -> np.ndarray:
         acc = acc * zs + 1.0 / math.factorial(n + j)
     out[small] = acc
     zb = z[~small]
-    ez = np.exp(zb)
-    if j == 1:
-        val = (ez - 1.0) / zb
-    elif j == 2:
-        val = (ez - 1.0 - zb) / zb**2
-    elif j == 3:
-        val = (ez - 1.0 - zb - zb**2 / 2.0) / zb**3
-    else:
-        raise ValueError("phi_j implemented for j = 1, 2, 3")
+    with np.errstate(**_QUIET):
+        ez, zj = np.exp(zb), zb**j
+        val = (ez - 1.0, ez - 1.0 - zb, ez - 1.0 - zb - zb**2 / 2.0)[j - 1] / zj
+        # there the closed form reads 0 or is not finite; every other entry keeps its bits
+        bad = ~np.isfinite(zj)
+        if j > 1 and bad.any():
+            val[bad] = (_phi(j - 1, zb[bad]) - 1.0 / (j - 1)) / zb[bad]  # (j-1)! = j-1 for j <= 3
     out[~small] = val
     return out
 
@@ -537,23 +558,20 @@ class _Stepper:
     of B flows is (B, take+1), each row with its own linear symbol.  The step
     sizes are folded into the phi coefficients in the order the scheme
     multiplies them, so the bits are those of h * phi * N.
+
+    A stepper serves one thread: each stage's RHS comes from its own evaluator
+    (_PolyPlan.bind), and the stages eu, a, b, c are formed in place in one
+    (4, *shape) array by the written scheme's operations, in its order.  Only
+    the returned state is new, since pending records keep it.
     """
 
     def __init__(self, flows: Sequence[FlowSpec], n: int, dt: float, dealias: float, order: int):
-        self.dt = dt
-        self.order = order
         plan = _PolyPlan(flows[0].nonlinear, n, dealias)
-        self._nl = plan.apply
-        self.take = plan.take
+        self.dt, self.order, self.take = dt, order, plan.take
         lin = np.array([flow.linear_on(n)[: plan.take + 1] for flow in flows])
         z = dt * (lin[0] if len(flows) == 1 else lin)
-        # buffers the transforms work in, so a stepper serves one thread: one samples
-        # and one zero-padded input array, used up within each RHS, and a spectrum
-        # per stage RHS the step combines
-        batch, half = z.shape[:-1], plan.m // 2 + 1
-        samples = np.empty((len(plan.poly.orders), *batch, plan.m))
-        padded = np.zeros((len(plan.poly.orders), *batch, half), np.complex128)
-        self._work = [(samples, np.empty((*batch, half), np.complex128), padded) for _ in range(order)]
+        self._rhs = plan.bind(z.shape[:-1], order)
+        self._stages = tuple(np.empty((4, *z.shape), np.complex128))
         self.e_full = np.exp(z)
         if order == 2:
             self.h_phi1 = dt * _phi(1, z)
@@ -566,25 +584,30 @@ class _Stepper:
             self.w2 = 2.0 * p2 - 4.0 * p3
             self.w3 = -p2 + 4.0 * p3
 
-    # an overflowing step is reported once, by its BlowUp, not also by NumPy
-    @np.errstate(over="ignore", invalid="ignore")
     def advance(self, u: np.ndarray, t: float) -> np.ndarray:
-        h, work = self.dt, self._work
+        # each ufunc writes into its third argument
+        h, rhs, mul, add = self.dt, self._rhs, np.multiply, np.add
+        eu, a, b, c = self._stages
+        nu = rhs[0](u)
         if self.order == 2:
-            nu = self._nl(u, work[0])
-            a = self.e_full * u + self.h_phi1 * nu
-            na = self._nl(a, work[1])
-            new = a + self.h_phi2 * (na - nu)
+            add(mul(self.e_full, u, eu), mul(self.h_phi1, nu, a), a)
+            na = rhs[1](a)
+            new = np.subtract(na, nu)
+            add(a, mul(self.h_phi2, new, new), new)
         else:
-            nu = self._nl(u, work[0])
-            eu = self.e_half * u
-            a = eu + self.h_phi1_half * nu
-            na = self._nl(a, work[1])
-            b = eu + self.h_phi1_half * na
-            nb = self._nl(b, work[2])
-            c = self.e_half * a + self.h_phi1_half * (2.0 * nb - nu)
-            nc = self._nl(c, work[3])
-            new = self.e_full * u + h * (self.w1 * nu + self.w2 * (na + nb) + self.w3 * nc)
+            add(mul(self.e_half, u, eu), mul(self.h_phi1_half, nu, a), a)
+            na = rhs[1](a)
+            add(eu, mul(self.h_phi1_half, na, b), b)
+            nb = rhs[2](b)
+            # c = e_half a + h_phi1_half (2 nb - nu), with e_half a formed in eu
+            mul(self.h_phi1_half, np.subtract(mul(2.0, nb, c), nu, c), c)
+            add(mul(self.e_half, a, eu), c, c)
+            nc = rhs[3](c)
+            # e_full u + h (w1 nu + w2 (na + nb) + w3 nc), the products formed in a and b
+            new = mul(self.w1, nu)
+            add(new, mul(self.w2, add(na, nb, a), a), new)
+            add(new, mul(self.w3, nc, b), new)
+            add(mul(self.e_full, u, a), mul(h, new, new), new)
         if not np.isfinite(new).all():
             raise BlowUp(f"non-finite mode at t = {t + h:.6g}", t + h)
         return new
@@ -687,7 +710,9 @@ def solve_batch(
     diags = [Diagnostics(hams={m: [] for m in cfg.hamiltonians}) for _ in flows]
     # floats of the widest array one recorded state fills: its complex half-spectrum
     # or a Hamiltonian's samples on the march's band
-    widest = max([u0.n + 2] + [len(p.orders) * _quad_grid(p.degree, stepper.take) for p in hams.values()])
+    widest = max(
+        [u0.n + 2] + [len(p.orders) * _fast_size(_product_grid(p.degree, stepper.take)) for p in hams.values()]
+    )
     per = max(1, _RECORD_BYTES // (8 * len(flows) * widest))
     pending: list[tuple[float, np.ndarray]] = []
 
@@ -720,10 +745,12 @@ def solve_batch(
     modes = np.array(np.broadcast_to(u0.modes[: stepper.take + 1], stepper.e_full.shape))
     try:
         record(0.0, modes)
-        for i in range(n_steps):
-            modes = stepper.advance(modes, i * cfg.dt)
-            if (i + 1) % cfg.diagnostics_every == 0 or i + 1 == n_steps:
-                record((i + 1) * cfg.dt, modes)
+        for start in range(0, n_steps, cfg.diagnostics_every):
+            # an overflowing step is reported once, by its BlowUp, not also by NumPy
+            with np.errstate(**_QUIET):
+                for i in range(start, min(start + cfg.diagnostics_every, n_steps)):
+                    modes = stepper.advance(modes, i * cfg.dt)
+            record((i + 1) * cfg.dt, modes)
     except BlowUp:
         flush()
         raise

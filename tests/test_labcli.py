@@ -6,6 +6,7 @@ degenerate-input behavior of each experiment.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -372,6 +373,24 @@ def test_solve_bad_input_exits_2_with_one_line(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_solve_with_a_huge_finite_damping_ends_cleanly(tmp_path, capsys):
+    # mu = 1e150 gives a finite symbol (about 1e159 at k = 31), so it is
+    # accepted; z^2 and z^3 in the phi closed forms overflow, and the
+    # recurrence from phi_{j-1} keeps every coefficient finite.  The damping
+    # empties every mode in the first step
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, "flow.kind = regularized\nflow.mu = 1e150"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg]) == 0
+    assert not [str(w.message) for w in caught]
+    assert capsys.readouterr().err == ""
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[:2] == ["t", "l2"] and len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row if v)
+    assert float(rows[-1][1]) == 0.0
+
+
 def _no_run(*args, **kwargs):
     raise AssertionError("bad input or a bad output destination reached the run")
 
@@ -584,6 +603,8 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("bona-smith", "s = -400"),
         ("bona-smith", "amplitude = 1e300"),
         ("bona-smith", "amplitude = 1e-320"),
+        # E^s and the half-norm of the coercivity scan's largest state overflow
+        ("energy-drift", "coercivity_amp_hi = 1e300"),
     ],
 )
 def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, name, line):

@@ -1080,3 +1080,85 @@ def test_march_keeps_the_bits_of_the_written_out_scheme(name, n, order, members)
         want = _written_out_advance(stepper, apply, want)
         assert u.shape == want.shape == stepper.e_full.shape
         assert np.all(np.isfinite(u)) and np.array_equal(u, want), i
+
+
+def _arrays_held(fn):
+    """Every array that a bound evaluator, or a sampler it calls, holds in its closure."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif callable(value):
+            found += _arrays_held(value)
+    return found
+
+
+@pytest.mark.parametrize("members", [1, 6])
+@pytest.mark.parametrize("order", [2, 4])
+def test_returned_states_stay_put_and_share_no_memory(order, members):
+    # the stages are formed in place and every RHS writes its own buffers;
+    # only the returned state is new, so pending records may keep it
+    flows = [_damped(model_flow(2), mu) for mu in (0.0, 1e-3, 2e-3, 4e-3, 8e-3, 1.6e-2)[:members]]
+    stepper = _Stepper(flows, 64, 1e-4, 2.0 / 3.0, order)
+    fields = [random_decay_field(64, decay=3.0, seed=seed, amplitude=0.1) for seed in range(members)]
+    u = np.array([f.modes[: stepper.take + 1] for f in fields]).reshape(stepper.e_full.shape)
+    states, copies = [], []
+    for i in range(5):
+        u = stepper.advance(u, i * 1e-4)
+        states.append(u)
+        copies.append(u.copy())
+    buffers = [*stepper._stages, *(a for rhs in stepper._rhs for a in _arrays_held(rhs))]
+    assert len(buffers) > 4
+    for i, (state, copy) in enumerate(zip(states, copies)):
+        assert np.array_equal(state, copy), i
+        assert not any(np.shares_memory(state, other) for other in states[:i] + states[i + 1 :]), i
+        assert not any(np.shares_memory(state, buffer) for buffer in buffers), i
+
+
+def test_record_values_groups_rows_by_band_bit_for_bit():
+    # one chunk with rows of band 0 (all zero and mode 0 alone), band 3 and
+    # the march's band: each row's values are those of its own field
+    n = 64
+    take = _PolyPlan(model_flow(2).nonlinear, n, 2.0 / 3.0).take
+    mean_only = np.zeros(n // 2 + 1, dtype=np.complex128)
+    mean_only[0] = 0.3
+    rows = [
+        np.zeros(n // 2 + 1, dtype=np.complex128),
+        random_decay_field(n, decay=2.0, seed=1, amplitude=0.1, kmax=3).modes,
+        mean_only,
+        random_decay_field(n, decay=2.0, seed=2, amplitude=0.1, kmax=take).modes,
+        random_decay_field(n, decay=2.0, seed=3, amplitude=0.1, kmax=3).modes,
+    ]
+    fields = [SpectralField(n, row) for row in rows]
+    assert [f.band_limit() for f in fields] == [0, 3, 0, take, 3]
+    hams = (0, 1, 2)
+    got = spectral._record_values(np.array(rows), [_Monomials(level(m).hamiltonian.integrand) for m in hams])
+    for f, values in zip(fields, got):
+        want = np.array([sobolev_norm(f, 0.0)] + [functional_eval(level(m).hamiltonian, f) for m in hams])
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64)), f.band_limit()
+
+
+def _phi_closed_form(j, z):
+    """(e^z - sum_{n<j} z^n/n!)/z^j as written out, the only form away from 0 before the recurrence."""
+    ez = np.exp(z)
+    return [(ez - 1.0) / z, (ez - 1.0 - z) / z**2, (ez - 1.0 - z - z**2 / 2.0) / z**3][j - 1]
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_phi_keeps_the_closed_form_bits_and_stays_finite_on_huge_symbols(j):
+    # on |z| <= 1e3 (Re z below exp's overflow) the closed form is finite, so
+    # the recurrence touches no entry and every bit is kept
+    re, im = np.meshgrid(np.linspace(-1e3, 700.0, 91), np.linspace(-1e3, 1e3, 91))
+    z = np.concatenate([(re + 1j * im).ravel(), 1j * np.linspace(-1e3, 1e3, 201), np.linspace(-1e3, 700.0, 201)])
+    z = z[(np.abs(z) > 1.0) & (np.abs(z) <= 1e3)]
+    want = _phi_closed_form(j, z)
+    assert np.isfinite(want).all()
+    assert np.array_equal(spectral._phi(j, z).view(np.uint64), want.view(np.uint64))
+    # a damping symbol of 1e160: z^2 and z^3 overflow; phi_j(z) -> -1/((j-1)! z)
+    z = np.array([-1e160, -1e160 + 1e150j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spectral._phi(j, z)
+    assert np.isfinite(got).all()
+    assert np.allclose(got, -1.0 / (math.factorial(j - 1) * z), rtol=1e-12, atol=0.0)
