@@ -32,6 +32,7 @@ from .spectral import (
     TAU,
     SolverConfig,
     SpectralField,
+    _QUIET,
     _padded,
     _sobolev_norms,
     _sobolev_weights,
@@ -260,7 +261,7 @@ BONA_SMITH_DEFAULTS = {
 
 
 # an overflowing norm is refused by _loglog_slope, not also reported by NumPy
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(**_QUIET)
 def exp_bona_smith(config: dict | None = None) -> ExperimentResult:
     """Mollifier rate study on a field with prescribed spectral decay.
 
@@ -407,7 +408,7 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     amp_top = float(scan.max())
     # the scan's values grow with the amplitude, so its largest one must be finite
     # (a NumPy square: a Python float's ** raises OverflowError instead of giving inf)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         top = amp_top * profile
         values = [evaluate_energy(bp, s, top), 0.5 * np.float64(sobolev_norm(top, s)) ** 2]
     if not np.isfinite(values).all():

@@ -486,6 +486,8 @@ class FlowSpec:
         k = np.arange(n // 2 + 1, dtype=np.float64)
         with np.errstate(**_QUIET):
             sym = (1j * k) ** (2 * self.l + 1)
+            # i^odd k^odd is imaginary: NumPy's polar path (exponents >= 100) leaves a real part
+            sym.real = np.copysign(0.0, sym.real)
             if self.dispersion < 0:
                 sym = -sym  # not -1 * sym, which flips the sign of the k = 0 zero
             sym = sym - self.damping * k ** (2 * self.l + 2)
@@ -566,10 +568,11 @@ class _Stepper:
     """
 
     def __init__(self, flows: Sequence[FlowSpec], n: int, dt: float, dealias: float, order: int):
+        # the symbols first: one that overflows is refused before the plan's tables warn
+        lin = np.array([flow.linear_on(n) for flow in flows])
         plan = _PolyPlan(flows[0].nonlinear, n, dealias)
         self.dt, self.order, self.take = dt, order, plan.take
-        lin = np.array([flow.linear_on(n)[: plan.take + 1] for flow in flows])
-        z = dt * (lin[0] if len(flows) == 1 else lin)
+        z = dt * (lin[0] if len(flows) == 1 else lin)[..., : plan.take + 1]
         self._rhs = plan.bind(z.shape[:-1], order)
         self._stages = tuple(np.empty((4, *z.shape), np.complex128))
         self.e_full = np.exp(z)
@@ -628,6 +631,8 @@ class SolverConfig:
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             raise ValueError(f"need a finite t_final >= 0, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ValueError(f"the step count t_final / dt = {self.t_final} / {self.dt} overflows")
         if self.order not in (2, 4):
             raise ValueError(f"integrator order must be 2 or 4, got {self.order}")
         if self.diagnostics_every < 1:

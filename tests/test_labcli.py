@@ -329,6 +329,8 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
         "time.dt = inf",
         "time.dt = nan",
         "time.dt = 0",
+        # T / dt overflows: the step count is refused, not converted to an int
+        "time.dt = 1e-320",
         "time.T = inf",
         "diagnostics.every = 0",
         "integrator.order = 3",
@@ -354,6 +356,8 @@ def test_solve_blow_up_in_diagnostics_exits_2_with_one_line(tmp_path, capsys):
         "energy.s = 3.5",
         # mu k^6 overflows: the linear symbol is refused before the first step
         "flow.kind = regularized\nflow.mu = 1e300",
+        # (ik)^401 overflows: refused before the nonlinearity's (ik)^399 table warns
+        "flow.l = 200",
         # k^50 * 1e300 overflows: the random start is refused
         "ic.kind = random\nic.decay = -50\nic.amplitude = 1e300",
         "ic.kind = sine",
@@ -389,6 +393,21 @@ def test_solve_with_a_huge_finite_damping_ends_cleanly(tmp_path, capsys):
     assert header[:2] == ["t", "l2"] and len(rows) == 3
     assert all(math.isfinite(float(v)) for row in rows for v in row if v)
     assert float(rows[-1][1]) == 0.0
+
+
+def test_solve_of_a_high_order_model_flow_ends_cleanly(tmp_path, capsys):
+    # (ik)^121 takes NumPy's polar path; a real part left by it would grow
+    # every mode under the model sign and blow up in the first step
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, "flow.l = 60\ngrid.N = 256"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg]) == 0
+    assert not [str(w.message) for w in caught]
+    assert capsys.readouterr().err == ""
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[:2] == ["t", "l2"] and len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row if v)
 
 
 def _no_run(*args, **kwargs):
@@ -587,6 +606,11 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("energy-drift", "t_final = 0"),
         ("scaling", "t_final = 0"),
         ("scaling", "dt = 0"),
+        # t_final / dt overflows
+        ("conservation", "dt = 1e-320"),
+        ("mu-cauchy", "dt = 1e-320"),
+        ("energy-drift", "dt = 1e-320"),
+        ("scaling", "dt = 1e-320"),
         ("energy-drift", "contrast_k0 = 8"),
         ("energy-drift", "contrast_k0 = 8, 8"),
         ("bona-smith", "nus = 0"),
@@ -613,6 +637,20 @@ def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, nam
 
     monkeypatch.setattr("kdvlab.experiments.solve", no_solve)
     cfg = _write(tmp_path, "e.cfg", line + "\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["exp", name, "--config", cfg, "--out", str(out)]) == 2
+    assert not [str(w.message) for w in caught]
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["mu-cauchy", "scaling"])
+def test_exp_overflowing_symbol_exits_2_without_a_warning(tmp_path, capsys, name):
+    # (ik)^601 overflows: the stepper refuses the symbol before the
+    # nonlinearity's (ik)^599 table is formed
+    cfg = _write(tmp_path, "e.cfg", "l = 300\n")
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kdvlab import energyplan
+from kdvlab import modenergy
 from kdvlab.modenergy import (
     CommutatorTail,
     NormGapTerm,
@@ -576,7 +576,7 @@ def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
 def test_energy_values_do_not_depend_on_block_size(blueprints, monkeypatch, block_bytes, l, n):
     # pocketfft transforms each row of a batch as it would the row alone, so
     # how the bundles are packed into blocks moves no bit of any value
-    monkeypatch.setattr(energyplan, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(modenergy, "_BLOCK_BYTES", block_bytes)
     bp, s = replace(blueprints[l]), 4.0 * l - 4.0
     for u in _fields(n, s):
         assert (energy_time_derivative(bp, s, u), evaluate_energy(bp, s, u)) == _term_by_term(bp, s, u)
@@ -608,7 +608,7 @@ def test_energy_values_are_pinned(blueprints):
                 fields.append(random_decay_field(n, decay=1.5, seed=43, amplitude=0.1, kmax=n // 2 - 1))
             for u in fields:
                 values += [evaluate_energy(bp, s, u), energy_time_derivative(bp, s, u)]
-                values += energyplan._EnergyPlan(items, s, u.band_limit()).apply(u)
+                values += modenergy._EnergyPlan(items, s, u.band_limit()).apply(u)
         assert _sha(" ".join(map(float.hex, values))) == sha, l
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kdvlab import spectral
-from kdvlab.diffpoly import DiffPoly, sym
+from kdvlab.diffpoly import DiffPoly, mono, sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
     _Monomials,
@@ -171,6 +171,19 @@ def test_eval_diffpoly_pointwise():
     assert np.allclose(vals, -np.cos(x) * np.sin(x), atol=1e-13)
 
 
+def test_constant_terms_and_the_zero_order_multiplier():
+    # a factor-free monomial is a constant: added to mode 0 of a pointwise
+    # value, and integrated as 2 pi times itself
+    f = random_decay_field(64, decay=2.0, seed=5, kmax=10)
+    want = f.modes.copy()
+    want[0] += 3.0
+    assert np.allclose(eval_diffpoly(sym("u") + mono(3), f).modes, want, rtol=0, atol=1e-14)
+    assert functional_eval(mono(3), f) == 6.0 * math.pi
+    assert functional_eval(DiffPoly(), f) == 0.0
+    # D^0 multiplies every mode, the mean's included, by 1
+    assert np.array_equal(multiplier(f, "D", 0).modes.view(np.int64), f.modes.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # flows and right-hand sides
 # ---------------------------------------------------------------------------
@@ -211,6 +224,13 @@ def test_linear_on_keeps_the_bits_of_the_written_out_symbols():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (kind, l, mu, n)
     # one value by hand: (5i)^5 = 3125i, so -mu k^6 - (ik)^5 at k = 5, mu = 1/2
     assert regularized_flow(2, mu=0.5).linear_on(64)[5] == -7812.5 - 3125j
+
+
+def test_high_order_model_flow_steps_unitarily():
+    # (ik)^121 takes NumPy's polar path, which leaves a real part of about
+    # 1e-15 of the dispersion; under the model sign e^{dt L} would overflow
+    stepper = _Stepper([model_flow(60)], 256, 1e-3, 2.0 / 3.0, 4)
+    assert np.allclose(np.abs(stepper.e_full), 1.0, rtol=0, atol=1e-12)
 
 
 def test_hierarchy_flow_reduces_to_kdv():
@@ -369,6 +389,7 @@ _F8, _F16 = cosine_field(8, 1), cosine_field(16, 1)
         (lambda: hierarchy_flow(0), "hierarchy flows need l >= 1"),
         (lambda: regularized_flow(2, -1.0), "mu must be finite and >= 0, got -1.0"),
         (lambda: SolverConfig(t_final=-1.0), "need a finite t_final >= 0, got -1.0"),
+        (lambda: SolverConfig(dt=1e-320), "the step count t_final / dt = 1.0 / 1e-320 overflows"),
         (lambda: _PolyPlan(model_flow(2).nonlinear, 64, 0.0), "dealias fraction must lie in (0, 1]"),
         (lambda: eval_diffpoly(sym("u") * sym("v"), _F8), "numeric evaluation needs a single-symbol polynomial"),
     ],
