@@ -1,18 +1,3 @@
 """kdvlab: exact KdV-hierarchy algebra and a periodic pseudospectral lab."""
 
 __version__ = "0.1.0"
-
-from .diffpoly import (  # noqa: F401
-    DiffMonomial,
-    DiffPoly,
-    IntegralExpr,
-    NotExact,
-    GradientMismatch,
-    euler_operator,
-    homotopy_hamiltonian,
-    ibp_normal_form,
-    integrate_exact,
-    is_exact,
-    rank_of,
-    total_derivative,
-)

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .diffpoly import latex_poly
 from .experiments import EXPERIMENTS, _resolve, run_experiment
-from .hierarchy import level, level_to_obj
+from .hierarchy import _check_level, level, level_to_obj
 from .ibpcalc import alpha_coeffs, verify_identity
 from .manifest import RunManifest
 from .modenergy import (
@@ -42,6 +42,7 @@ from .spectral import (
     BlowUp,
     SolverConfig,
     SpectralField,
+    _check_steps,
     _sobolev_weights,
     cosine_field,
     hierarchy_flow,
@@ -142,29 +143,23 @@ def parse_flat_config(path: str) -> dict:
 
 def _cmd_hierarchy_gen(args, argv) -> int:
     _destination("--out", args.out)
+    _check_level("--l", args.l)
     lv = level(args.l)
     if args.format == "json":
-        obj = level_to_obj(lv)
-        obj["monomials"] = len(lv.g)
-        _emit(json.dumps(obj, indent=2, sort_keys=True), args.out)
+        text = json.dumps({**level_to_obj(lv), "monomials": len(lv.g)}, indent=2, sort_keys=True)
     elif args.format == "latex":
-        text = "\n".join(
-            [
-                f"G_{{{args.l}}} &= {latex_poly(lv.g)} \\\\",
-                f"\\partial_x G_{{{args.l}}} &= {latex_poly(lv.rhs)} \\\\",
-                f"H_{{{args.l}}} &= \\int {latex_poly(lv.hamiltonian.canonical)} \\, dx",
-            ]
+        text = (
+            f"G_{{{args.l}}} &= {latex_poly(lv.g)} \\\\\n"
+            f"\\partial_x G_{{{args.l}}} &= {latex_poly(lv.rhs)} \\\\\n"
+            f"H_{{{args.l}}} &= \\int {latex_poly(lv.hamiltonian.canonical)} \\, dx"
         )
-        _emit(text, args.out)
     else:
-        text = "\n".join(
-            [
-                f"G_{args.l} = {lv.g}",
-                f"rhs_{args.l} = {lv.rhs}",
-                f"H_{args.l} = integral of {lv.hamiltonian.canonical}",
-            ]
+        text = (
+            f"G_{args.l} = {lv.g}\n"
+            f"rhs_{args.l} = {lv.rhs}\n"
+            f"H_{args.l} = integral of {lv.hamiltonian.canonical}"
         )
-        _emit(text, args.out)
+    _emit(text, args.out)
     return 0
 
 
@@ -197,7 +192,7 @@ def _cmd_energy_build(args, argv) -> int:
     obj = bp.to_obj()
     if args.s is not None:
         obj["s"] = args.s
-        obj["gammas_at_s"] = [_finite(f"gamma at --s {args.s}", g(args.s)) for g in bp.gammas()]
+        obj["gammas_at_s"] = [_finite(f"gamma at --s {args.s}", c.gamma(args.s)) for c in bp.corrections]
     _emit(json.dumps(obj, indent=2, sort_keys=True), args.out)
     complete = not obj["resonant_residue"] and not obj["diagnostics"]["pending_terms"]
     return 0 if complete else 1
@@ -229,6 +224,7 @@ def _make_flow(cfg: dict):
     if kind == "regularized":
         return regularized_flow(l, cfg["flow.mu"])
     if kind == "hierarchy":
+        _check_level("flow.l", l)
         return hierarchy_flow(l)
     raise ValueError(f"unknown flow.kind {kind!r}")
 
@@ -241,6 +237,10 @@ def _cmd_solve(args, argv) -> int:
     _apart("output.path", cfg["output.path"], lambda p: p == config)
     _apart("--manifest", args.manifest, lambda p: p in (config, out))
     man = RunManifest(command="kdvlab " + " ".join(argv), config=cfg)
+    sc = _check_steps(SolverConfig(
+        n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],
+        order=cfg["integrator.order"], diagnostics_every=cfg["diagnostics.every"],
+    ))
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 
@@ -264,10 +264,6 @@ def _cmd_solve(args, argv) -> int:
             for c, fn in extra.items():
                 cols[c].append(_finite(f"{c} at recorded state {len(cols[c])}", fn(f)))
 
-    sc = SolverConfig(
-        n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],
-        order=cfg["integrator.order"], diagnostics_every=cfg["diagnostics.every"],
-    )
     _, diag = solve(u0, flow, sc, observe if extra else None)
     cols.update(t=diag.times, l2=diag.l2, **{f"H{m}": v for m, v in diag.hams.items()})
 

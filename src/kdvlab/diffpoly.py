@@ -106,10 +106,6 @@ class DiffPoly:
             for f, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), sum(k for _, k in kv[0]), kv[0]))
         )
 
-    @staticmethod
-    def zero() -> "DiffPoly":
-        return DiffPoly()
-
     @property
     def monomials(self) -> tuple[DiffMonomial, ...]:
         return self._terms
@@ -204,7 +200,7 @@ def euler_operator(p: DiffPoly, symbol: str = "u") -> DiffPoly:
     Summed in Horner form P_0 - d(P_1 - d(P_2 - ...)): one d/dx per order.
     """
     top = max((k for m in p for s, k in m.factors if s == symbol), default=-1)
-    acc = DiffPoly.zero()
+    acc = DiffPoly()
     for k in range(top, -1, -1):
         acc = partial_derivative(p, (symbol, k)) - total_derivative(acc)
     return acc

@@ -27,12 +27,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .hierarchy import _check_level
 from .modenergy import _check_threshold, build_energy, energy_time_derivative, evaluate_energy
 from .spectral import (
     TAU,
     SolverConfig,
     SpectralField,
     _QUIET,
+    _check_steps,
     _padded,
     _sobolev_norms,
     _sobolev_weights,
@@ -93,7 +95,8 @@ def _solver_config(cfg: dict, **changes) -> SolverConfig:
     """The solver settings of a resolved experiment config, with changes applied.
 
     Recording follows the config's cadence (every step without one); an
-    experiment needs t_final > 0, since a run of no steps measures nothing.
+    experiment needs t_final > 0, since a run of no steps measures nothing,
+    and at most MAX_STEPS steps.
     """
     if cfg["t_final"] == 0:
         raise ValueError("t_final must be > 0: a run of no steps measures nothing")
@@ -101,7 +104,7 @@ def _solver_config(cfg: dict, **changes) -> SolverConfig:
         n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
         order=cfg["order"], diagnostics_every=cfg.get("cadence", 1),
     )
-    return SolverConfig(**{**fields, **changes})
+    return _check_steps(SolverConfig(**{**fields, **changes}))
 
 
 def _ladder(cfg: dict, key: str, n: int) -> tuple:
@@ -145,11 +148,13 @@ def exp_conservation(config: dict | None = None) -> ExperimentResult:
     ratio_band of 2^order.
     """
     cfg = _resolve(CONSERVATION_DEFAULTS, config)
+    coarse_sc, fine_sc = _solver_config(cfg), _solver_config(cfg, dt=cfg["dt"] / 2)
+    _check_level("l", cfg["l"])
     flow = hierarchy_flow(cfg["l"])
     u0 = cfg["amplitude"] * cosine_field(cfg["n"], 1)
 
-    def drifts(dt: float):
-        _, diag = solve(u0, flow, _solver_config(cfg, dt=dt))
+    def drifts(sc: SolverConfig):
+        _, diag = solve(u0, flow, sc)
         out = {}
         for m, series in diag.hams.items():
             num = max(abs(v - series[0]) for v in series)
@@ -157,8 +162,8 @@ def exp_conservation(config: dict | None = None) -> ExperimentResult:
             out[m] = num / ref if ref > 0 else num
         return out, diag
 
-    coarse, diag = drifts(cfg["dt"])
-    fine, _ = drifts(cfg["dt"] / 2)
+    coarse, diag = drifts(coarse_sc)
+    fine, _ = drifts(fine_sc)
     lo = 2 ** cfg["order"] * (1 - cfg["ratio_band"])
     hi = 2 ** cfg["order"] * (1 + cfg["ratio_band"])
     ok_drift = all(v < cfg["drift_tol"] for v in coarse.values())
@@ -404,15 +409,24 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     )
     profile = random_decay_field(cfg["n"], decay=cfg["decay"], seed=cfg["seed"], kmax=cfg["kmax"])
     profile = (1.0 / sobolev_norm(profile, s)) * profile
-    scan = np.geomspace(amp_lo, amp_hi, amps)
-    amp_top = float(scan.max())
-    # the scan's values grow with the amplitude, so its largest one must be finite
+
+    # the coercivity scan, before the solve: every E^s and half-norm must be finite
     # (a NumPy square: a Python float's ** raises OverflowError instead of giving inf)
+    rows_coer = []
     with np.errstate(**_QUIET):
-        top = amp_top * profile
-        values = [evaluate_energy(bp, s, top), 0.5 * np.float64(sobolev_norm(top, s)) ** 2]
-    if not np.isfinite(values).all():
-        raise ValueError(f"energy-drift: E^s or 1/2 |u|_{{H^s}}^2 overflows at the coercivity amplitude {amp_top:g}")
+        for amp in np.geomspace(amp_lo, amp_hi, amps).tolist():
+            u = amp * profile
+            e, half = evaluate_energy(bp, s, u), 0.5 * np.float64(sobolev_norm(u, s)) ** 2
+            rows_coer.append([amp, e, half, int(0.5 * half <= e <= 1.5 * half)])  # within [1/4, 3/4] of |u|^2
+    bad = [row[0] for row in rows_coer if not np.isfinite(row[1:3]).all()]
+    if bad:
+        raise ValueError(f"energy-drift: E^s or 1/2 |u|_{{H^s}}^2 overflows at the coercivity amplitude {bad[0]:g}")
+    # delta: the largest amplitude of the run of inside rows that starts the scan
+    delta = 0.0
+    for amp, *_, inside in rows_coer:
+        if not inside:
+            break
+        delta = amp
 
     states: list[SpectralField] = []
     _, diag = solve(u0, flow, sc, states.append)
@@ -420,10 +434,9 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     energy = [evaluate_energy(bp, s, f) for f in states]
     drift = max(abs(e - energy[0]) for e in energy)
 
-    def empirical_c(sampled) -> float:
+    def empirical_c(sampled, norms) -> float:
         best = 0.0
-        for st in sampled:
-            nrm = sobolev_norm(st, s)
+        for st, nrm in zip(sampled, norms):
             if nrm == 0.0:
                 continue
             rate = abs(energy_time_derivative(bp, s, st))
@@ -431,11 +444,11 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
             best = max(best, rate / denom)
         return best
 
-    c_base = empirical_c(states)
+    c_base = empirical_c(states, hs)
     u0_fine = SpectralField(2 * cfg["n"], _padded(u0.modes, 2 * cfg["n"]))
     fine_states: list[SpectralField] = []
     solve(u0_fine, flow, fine_sc, fine_states.append)
-    c_fine = empirical_c(fine_states)
+    c_fine = empirical_c(fine_states, [sobolev_norm(f, s) for f in fine_states])
     c_change = abs(c_fine - c_base) / c_base if c_base > 0.0 else 0.0
 
     rows_contrast = []
@@ -449,20 +462,6 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
         rows_contrast.append([k0, raw, mod, ratios[-1]])
     contrast_monotone = all(b > a for a, b in zip(ratios, ratios[1:]))
     contrast_growth = ratios[-1] / ratios[0]
-
-    rows_coer = []
-    delta = 0.0
-    window_open = True
-    for amp in scan:
-        u = float(amp) * profile
-        e = evaluate_energy(bp, s, u)
-        half = 0.5 * sobolev_norm(u, s) ** 2
-        inside = 0.5 * half <= e <= 1.5 * half  # i.e. within [1/4, 3/4] of |u|^2
-        rows_coer.append([float(amp), e, half, int(inside)])
-        if window_open and inside:
-            delta = float(amp)
-        else:
-            window_open = False
 
     ok = (
         contrast_monotone
@@ -527,14 +526,13 @@ def exp_scaling(config: dict | None = None) -> ExperimentResult:
     coarse = _solver_config(cfg, hamiltonians=())
     # only the final states are compared: record nothing in between
     steps = max(1, round(coarse.t_final / coarse.dt))
-
-    ua, _ = solve(u0, flow, replace(coarse, diagnostics_every=steps))
-    solved_scaled = scale_field(ua, lam)
-
     fine = _solver_config(
         cfg, n=lam * cfg["n"], dt=cfg["dt"] / fac, t_final=cfg["t_final"] / fac, hamiltonians=(),
         diagnostics_every=steps,
     )
+
+    ua, _ = solve(u0, flow, replace(coarse, diagnostics_every=steps))
+    solved_scaled = scale_field(ua, lam)
     ub, _ = solve(scale_field(u0, lam), flow, fine)
 
     va, vb = solved_scaled.values(), ub.values()

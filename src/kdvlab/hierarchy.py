@@ -23,7 +23,6 @@ from .diffpoly import (
     mono,
     poly_from_obj,
     poly_to_obj,
-    rank_of,
     sym,
     total_derivative,
 )
@@ -66,6 +65,18 @@ def lenard_step(g: DiffPoly) -> DiffPoly:
     return integrate_exact(rhs_next)
 
 
+# the highest level that a front end builds (library calls keep their range): each
+# level costs about 1.6x the one below, and kdvlab hierarchy gen from a cold cache
+# takes 0.74 s at l = 12, 1.85 s at 14 and 3.87 s at 16 (2-core Xeon), so level 40
+# would take days
+MAX_LEVEL = 16
+
+
+def _check_level(name: str, l: int) -> None:
+    if l > MAX_LEVEL:
+        raise ValueError(f"{name} = {l} is above the hierarchy level bound {MAX_LEVEL}")
+
+
 # module cache of levels 0..len-1; every fill holds the lock
 _LEVELS: list[HierarchyLevel] = []
 _LEVELS_LOCK = threading.Lock()
@@ -99,9 +110,9 @@ def level(l: int) -> HierarchyLevel:
 def classify(h: HierarchyLevel) -> dict[int, dict]:
     """Audit the rhs monomials by degree.
 
-    Every degree-k group must carry total derivative weight 2(l-k)+3, or
-    equivalently rank l + 3/2; violations raise RankViolation. Returns the
-    coefficient table {degree: {"weight": w, "rank": r, "monomials": [...]}}.
+    Every degree-k group must carry total derivative weight 2(l-k)+3, so
+    rank (degree + weight/2) l + 3/2; a violation raises RankViolation.
+    Returns the table {degree: {"weight": w, "rank": r, "monomials": [...]}}.
     """
     want_rank = Fraction(h.l) + Fraction(3, 2)
     table: dict[int, dict] = {}
@@ -112,10 +123,6 @@ def classify(h: HierarchyLevel) -> dict[int, dict]:
             raise RankViolation(
                 f"level {h.l}: degree-{k} monomial {m!r} has weight {m.weight}, "
                 f"expected {want_weight}"
-            )
-        if rank_of(m) != want_rank:
-            raise RankViolation(
-                f"level {h.l}: monomial {m!r} has rank {rank_of(m)}, expected {want_rank}"
             )
         entry = table.setdefault(k, {"weight": want_weight, "rank": want_rank, "monomials": []})
         entry["monomials"].append((str(m.coeff), [[s, o] for s, o in m.factors]))

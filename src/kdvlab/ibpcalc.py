@@ -65,7 +65,7 @@ def _identity_sides(l: int) -> tuple[DiffPoly, DiffPoly]:
     n = 2 * l + 1
     lhs = sym("w", n) * f * g + w * sym("f", n) * g + w * f * sym("g", n)
     table = alpha_coeffs(l)
-    rhs = DiffPoly.zero()
+    rhs = DiffPoly()
     for j in range(1, l + 1):
         rhs = rhs + table[j] * (sym("w", 2 * (l - j) + 1) * sym("f", j) * sym("g", j))
     return lhs, rhs

@@ -435,9 +435,6 @@ class EnergyBlueprint:
     pending: list[PTerm] = field(default_factory=list)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def gammas(self) -> list[SPoly]:
-        return [c.gamma for c in self.corrections]
-
     def to_obj(self) -> dict:
         return {
             "l": self.l,

@@ -645,6 +645,20 @@ class SolverConfig:
             raise ValueError(f"hamiltonians must be non-negative ints, got {self.hamiltonians!r}")
 
 
+# the most steps t_final / dt that a front end starts (library solves keep their
+# range): an ETD4 step takes 90 us at N = 16, 120 us at kdvlab solve's defaults
+# (model2, N = 256, H0..H2 every step) and 430 us for hier3 at N = 1024 (2-core
+# Xeon, NumPy 2.4.6), so a march this long runs for 1.5 to 7 minutes
+MAX_STEPS = 10**6
+
+
+def _check_steps(cfg: SolverConfig) -> SolverConfig:
+    """cfg, refused unless its step count t_final / dt is at most MAX_STEPS."""
+    if cfg.t_final / cfg.dt > MAX_STEPS:
+        raise ValueError(f"the step count t_final / dt = {cfg.t_final} / {cfg.dt} is above the bound {MAX_STEPS}")
+    return cfg
+
+
 @dataclass
 class Diagnostics:
     times: list[float] = dc_field(default_factory=list)

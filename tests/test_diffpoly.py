@@ -12,8 +12,10 @@ import pytest
 from kdvlab.diffpoly import (
     DiffMonomial,
     DiffPoly,
+    GradientMismatch,
     NotExact,
     euler_operator,
+    homotopy_hamiltonian,
     ibp_normal_form,
     integrate_exact,
     is_exact,
@@ -129,6 +131,23 @@ def test_serialization_roundtrip_exact():
 def test_latex_rendering_mentions_derivative_orders():
     s = latex_poly(u * u2)
     assert "\\partial_x^{2}" in s
+
+
+def test_zero_and_constant_rendering():
+    assert repr(DiffPoly()) == "DiffPoly(0)"
+    assert latex_poly(DiffPoly()) == "0"
+    assert latex_poly(mono(-3) + u) == "-3 +u"
+
+
+def test_a_constant_is_not_exact_and_is_its_own_normal_form():
+    assert not is_exact(mono(3))
+    assert ibp_normal_form(mono(3)) == mono(3)
+
+
+def test_a_non_gradient_has_no_hamiltonian():
+    # u_1^2 is not a variational derivative: the line homotopy cannot regenerate it
+    with pytest.raises(GradientMismatch):
+        homotopy_hamiltonian(u1 * u1)
 
 
 def test_scalar_multiplication_exactness():

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from kdvlab import cli
+from kdvlab import cli, hierarchy, spectral
 from kdvlab.cli import main, parse_flat_config
 from kdvlab.experiments import (
+    EXPERIMENTS,
     exp_conservation,
     exp_energy_drift,
     exp_mu_cauchy,
@@ -85,6 +86,14 @@ def test_parse_flat_config_rejects_malformed(tmp_path):
         parse_flat_config(p)
 
 
+def test_a_line_with_an_empty_key_exits_2_naming_its_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve", _no_run)
+    cfg = _write(tmp_path, "e.cfg", "= 5\n")
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cfg}:1: empty key"]
+
+
 def test_unknown_config_key_is_an_error(tmp_path):
     cfg = _write(tmp_path, "c.cfg", "grid.M = 64\noutput.path = x.csv\n")
     assert main(["solve", "--config", cfg]) == 2
@@ -93,6 +102,13 @@ def test_unknown_config_key_is_an_error(tmp_path):
 def test_unknown_experiment_key_is_an_error(tmp_path):
     with pytest.raises(KeyError):
         run_experiment("scaling", {"lambda": 2})
+
+
+def test_an_unknown_experiment_names_the_known_ones():
+    with pytest.raises(KeyError) as info:
+        run_experiment("nope")
+    assert "'nope'" in str(info.value)
+    assert all(repr(name) in str(info.value) for name in EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +441,45 @@ def test_solve_refuses_a_below_threshold_energy_s_before_any_step(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["time.dt = 1e-300", "time.T = 1001", "flow.kind = hierarchy\nflow.l = 40", "flow.kind = hierarchy\nflow.l = 300"],
+)
+def test_solve_refuses_a_run_that_cannot_finish_before_any_step(tmp_path, capsys, monkeypatch, line):
+    # 1e300 steps, 1.001e6 steps at dt = 1e-3 (above MAX_STEPS) or a level above
+    # MAX_LEVEL: refused before the flow is built or a step is taken
+    monkeypatch.setattr(cli, "hierarchy_flow", _no_run)
+    monkeypatch.setattr(cli, "solve", _no_run)
+    out = tmp_path / "run.csv"
+    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, line))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", "--config", cfg]) == 2
+    assert not [str(w.message) for w in caught]
+    assert _one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.cfg"]
+
+
+def test_hierarchy_gen_refuses_a_level_above_the_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "level", _no_run)
+    assert main(["hierarchy", "gen", "--l", "40", "--out", str(tmp_path / "g.txt")]) == 2
+    assert _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_run_bounds_admit_every_tier1_run():
+    # levels 0..12 (generate(12) and the level digests), and the 6400 steps of the
+    # longest solve; the bounds are inclusive
+    top, most = hierarchy.MAX_LEVEL, spectral.MAX_STEPS
+    assert top >= 12 and most >= 6400
+    hierarchy._check_level("l", top)
+    with pytest.raises(ValueError, match="level bound"):
+        hierarchy._check_level("l", top + 1)
+    spectral._check_steps(SolverConfig(dt=1.0, t_final=float(most)))
+    with pytest.raises(ValueError, match="step count"):
+        spectral._check_steps(SolverConfig(dt=1.0, t_final=float(most + 1)))
+
+
 @pytest.mark.parametrize("line", ["diagnostics.s = 400", "energy.s = 400"])
 def test_solve_refuses_an_overflowing_s_before_any_step(tmp_path, capsys, monkeypatch, line):
     # (1 + k^2)^400 overflows on the grid: refused before the energy is built or a step is taken
@@ -611,6 +666,10 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("mu-cauchy", "dt = 1e-320"),
         ("energy-drift", "dt = 1e-320"),
         ("scaling", "dt = 1e-320"),
+        # t_final / dt is finite but above the step bound
+        ("conservation", "dt = 1e-300"),
+        ("energy-drift", "dt = 1e-300"),
+        ("scaling", "dt = 1e-300"),
         ("energy-drift", "contrast_k0 = 8"),
         ("energy-drift", "contrast_k0 = 8, 8"),
         ("bona-smith", "nus = 0"),
@@ -642,6 +701,27 @@ def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, nam
         warnings.simplefilter("always")
         assert main(["exp", name, "--config", cfg, "--out", str(out)]) == 2
     assert not [str(w.message) for w in caught]
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_exp_mu_cauchy_refuses_a_step_count_above_the_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("kdvlab.experiments.solve_batch", _no_run)
+    cfg = _write(tmp_path, "e.cfg", "dt = 1e-300\n")
+    out = tmp_path / "out"
+    assert main(["exp", "mu-cauchy", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["l = 40", "l = 300"])
+def test_exp_conservation_refuses_a_level_above_the_bound(tmp_path, capsys, monkeypatch, line):
+    # level 40 of the Lenard recursion would take days: refused before it is built
+    monkeypatch.setattr("kdvlab.experiments.hierarchy_flow", _no_run)
+    monkeypatch.setattr("kdvlab.experiments.solve", _no_run)
+    cfg = _write(tmp_path, "e.cfg", line + "\n")
+    out = tmp_path / "out"
+    assert main(["exp", "conservation", "--config", cfg, "--out", str(out)]) == 2
     assert _one_error_line(capsys)
     assert not out.exists()
 
@@ -733,6 +813,14 @@ def test_exp_scaling_end_to_end(tmp_path):
     man = json.loads((out_dir / "scaling_manifest.json").read_text())
     assert man["verdict"] == "PASS"
     assert str(out_dir / "scaling.json") in man["outputs"]
+
+
+def test_exp_energy_drift_prints_its_flag_as_0_or_1(tmp_path, capsys):
+    # contrast_monotone is a bool: a metric line reads 1 or 0, never True or False
+    assert main(["exp", "energy-drift", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "energy-drift: PASS"
+    assert "  contrast_monotone = 1" in out
 
 
 def test_exp_fail_exit_code_and_manifest(tmp_path):
