@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .diffpoly import latex_poly
 from .experiments import EXPERIMENTS, _resolve, run_experiment
-from .hierarchy import _check_level, level, level_to_obj
+from .hierarchy import level, level_to_obj
 from .ibpcalc import alpha_coeffs, verify_identity
 from .manifest import RunManifest
 from .modenergy import (
@@ -42,7 +42,6 @@ from .spectral import (
     BlowUp,
     SolverConfig,
     SpectralField,
-    _check_steps,
     _sobolev_weights,
     cosine_field,
     hierarchy_flow,
@@ -143,7 +142,6 @@ def parse_flat_config(path: str) -> dict:
 
 def _cmd_hierarchy_gen(args, argv) -> int:
     _destination("--out", args.out)
-    _check_level("--l", args.l)
     lv = level(args.l)
     if args.format == "json":
         text = json.dumps({**level_to_obj(lv), "monomials": len(lv.g)}, indent=2, sort_keys=True)
@@ -224,7 +222,6 @@ def _make_flow(cfg: dict):
     if kind == "regularized":
         return regularized_flow(l, cfg["flow.mu"])
     if kind == "hierarchy":
-        _check_level("flow.l", l)
         return hierarchy_flow(l)
     raise ValueError(f"unknown flow.kind {kind!r}")
 
@@ -237,10 +234,10 @@ def _cmd_solve(args, argv) -> int:
     _apart("output.path", cfg["output.path"], lambda p: p == config)
     _apart("--manifest", args.manifest, lambda p: p in (config, out))
     man = RunManifest(command="kdvlab " + " ".join(argv), config=cfg)
-    sc = _check_steps(SolverConfig(
+    sc = SolverConfig(
         n=cfg["grid.N"], dt=cfg["time.dt"], t_final=cfg["time.T"], dealias=cfg["dealias"],
         order=cfg["integrator.order"], diagnostics_every=cfg["diagnostics.every"],
-    ))
+    )
     flow = _make_flow(cfg)
     u0 = _make_ic(cfg)
 

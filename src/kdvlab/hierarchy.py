@@ -65,16 +65,10 @@ def lenard_step(g: DiffPoly) -> DiffPoly:
     return integrate_exact(rhs_next)
 
 
-# the highest level that a front end builds (library calls keep their range): each
-# level costs about 1.6x the one below, and kdvlab hierarchy gen from a cold cache
-# takes 0.74 s at l = 12, 1.85 s at 14 and 3.87 s at 16 (2-core Xeon), so level 40
-# would take days
+# the highest level that generate builds: each level costs about 1.6x the one
+# below, and kdvlab hierarchy gen from a cold cache takes 0.74 s at l = 12, 1.85 s
+# at 14 and 3.87 s at 16 (2-core Xeon), so level 40 would take days
 MAX_LEVEL = 16
-
-
-def _check_level(name: str, l: int) -> None:
-    if l > MAX_LEVEL:
-        raise ValueError(f"{name} = {l} is above the hierarchy level bound {MAX_LEVEL}")
 
 
 # module cache of levels 0..len-1; every fill holds the lock
@@ -95,6 +89,8 @@ def generate(l: int) -> tuple[HierarchyLevel, ...]:
     """Levels 0..l inclusive, memoized."""
     if l < 0:
         raise ValueError("level must be nonnegative")
+    if l > MAX_LEVEL:
+        raise ValueError(f"the hierarchy level l = {l} is above the level bound {MAX_LEVEL}")
     with _LEVELS_LOCK:
         if not _LEVELS:
             _LEVELS.append(_build_level(0, sym("u")))

@@ -616,6 +616,13 @@ class _Stepper:
         return new
 
 
+# the most steps t_final / dt that a SolverConfig admits: an ETD4 step takes 90 us
+# at N = 16, 120 us at kdvlab solve's defaults (model2, N = 256, H0..H2 every step)
+# and 430 us for hier3 at N = 1024 (2-core Xeon, NumPy 2.4.6), so a march this
+# long runs for 1.5 to 7 minutes
+MAX_STEPS = 10**6
+
+
 @dataclass
 class SolverConfig:
     n: int = 256
@@ -633,6 +640,8 @@ class SolverConfig:
             raise ValueError(f"need a finite t_final >= 0, got {self.t_final}")
         if not math.isfinite(self.t_final / self.dt):
             raise ValueError(f"the step count t_final / dt = {self.t_final} / {self.dt} overflows")
+        if self.t_final / self.dt > MAX_STEPS:
+            raise ValueError(f"the step count t_final / dt = {self.t_final} / {self.dt} is above the bound {MAX_STEPS}")
         if self.order not in (2, 4):
             raise ValueError(f"integrator order must be 2 or 4, got {self.order}")
         if self.diagnostics_every < 1:
@@ -643,20 +652,6 @@ class SolverConfig:
             raise ValueError("dealias fraction must lie in (0, 1]")
         if not all(type(m) is int and m >= 0 for m in self.hamiltonians):
             raise ValueError(f"hamiltonians must be non-negative ints, got {self.hamiltonians!r}")
-
-
-# the most steps t_final / dt that a front end starts (library solves keep their
-# range): an ETD4 step takes 90 us at N = 16, 120 us at kdvlab solve's defaults
-# (model2, N = 256, H0..H2 every step) and 430 us for hier3 at N = 1024 (2-core
-# Xeon, NumPy 2.4.6), so a march this long runs for 1.5 to 7 minutes
-MAX_STEPS = 10**6
-
-
-def _check_steps(cfg: SolverConfig) -> SolverConfig:
-    """cfg, refused unless its step count t_final / dt is at most MAX_STEPS."""
-    if cfg.t_final / cfg.dt > MAX_STEPS:
-        raise ValueError(f"the step count t_final / dt = {cfg.t_final} / {cfg.dt} is above the bound {MAX_STEPS}")
-    return cfg
 
 
 @dataclass

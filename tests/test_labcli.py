@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kdvlab import cli, hierarchy, spectral
+from kdvlab import cli, hierarchy, ibpcalc, modenergy, spectral
 from kdvlab.cli import main, parse_flat_config
 from kdvlab.experiments import (
     EXPERIMENTS,
@@ -443,12 +443,15 @@ def test_solve_refuses_a_below_threshold_energy_s_before_any_step(tmp_path, caps
 
 @pytest.mark.parametrize(
     "line",
-    ["time.dt = 1e-300", "time.T = 1001", "flow.kind = hierarchy\nflow.l = 40", "flow.kind = hierarchy\nflow.l = 300"],
+    ["time.dt = 1e-300", "time.T = 1001", "flow.kind = hierarchy\nflow.l = 40", "flow.kind = hierarchy\nflow.l = 300",
+     "flow.l = 12\nenergy.s = 44\ngrid.N = 16"],
 )
 def test_solve_refuses_a_run_that_cannot_finish_before_any_step(tmp_path, capsys, monkeypatch, line):
-    # 1e300 steps, 1.001e6 steps at dt = 1e-3 (above MAX_STEPS) or a level above
-    # MAX_LEVEL: refused before the flow is built or a step is taken
-    monkeypatch.setattr(cli, "hierarchy_flow", _no_run)
+    # 1e300 steps, 1.001e6 steps at dt = 1e-3 (above MAX_STEPS), a level above
+    # MAX_LEVEL or an energy column above MAX_CASCADE: refused before the flow
+    # or the energy is built or a step is taken
+    monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
+    monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
     monkeypatch.setattr(cli, "solve", _no_run)
     out = tmp_path / "run.csv"
     cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, line))
@@ -461,23 +464,53 @@ def test_solve_refuses_a_run_that_cannot_finish_before_any_step(tmp_path, capsys
 
 
 def test_hierarchy_gen_refuses_a_level_above_the_bound(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "level", _no_run)
+    monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
     assert main(["hierarchy", "gen", "--l", "40", "--out", str(tmp_path / "g.txt")]) == 2
     assert _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_the_run_bounds_admit_every_tier1_run():
-    # levels 0..12 (generate(12) and the level digests), and the 6400 steps of the
-    # longest solve; the bounds are inclusive
+    # levels 0..12 (generate(12) and the level digests), the 6400 steps of the
+    # longest solve, blueprints to l = 7 and alpha tables to l = 12; the bounds
+    # are inclusive, and one above each is refused before any work
     top, most = hierarchy.MAX_LEVEL, spectral.MAX_STEPS
     assert top >= 12 and most >= 6400
-    hierarchy._check_level("l", top)
+    assert modenergy.MAX_CASCADE >= 7 and ibpcalc.MAX_ALPHA >= 12
     with pytest.raises(ValueError, match="level bound"):
-        hierarchy._check_level("l", top + 1)
-    spectral._check_steps(SolverConfig(dt=1.0, t_final=float(most)))
+        hierarchy.generate(top + 1)
+    SolverConfig(dt=1.0, t_final=float(most))
     with pytest.raises(ValueError, match="step count"):
-        spectral._check_steps(SolverConfig(dt=1.0, t_final=float(most + 1)))
+        SolverConfig(dt=1.0, t_final=float(most + 1))
+    with pytest.raises(ValueError, match="cascade level"):
+        modenergy.build_energy(modenergy.MAX_CASCADE + 1)
+    with pytest.raises(ValueError, match="identity level"):
+        ibpcalc.alpha_coeffs(ibpcalc.MAX_ALPHA + 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["energy", "build", "--l", "12"], ["energy", "build", "--l", "40"], ["ibp", "alpha", "--l", "400"],
+     ["ibp", "alpha", "--l", "400", "--verify"]],
+)
+def test_an_exact_recursion_above_its_bound_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # the cascade at l = 9 already takes 8 s; the alpha table is read before the
+    # Euler check, so --verify meets the same bound: refused before either recursion
+    monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
+    monkeypatch.setattr(ibpcalc, "comb", _no_run)
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    assert _one_error_line(capsys)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exp_energy_drift_refuses_a_level_above_the_cascade_bound(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
+    monkeypatch.setattr("kdvlab.experiments.solve", _no_run)
+    cfg = _write(tmp_path, "e.cfg", "l = 12\ns = 44\n")
+    out = tmp_path / "out"
+    assert main(["exp", "energy-drift", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["diagnostics.s = 400", "energy.s = 400"])
@@ -688,6 +721,8 @@ def test_exp_mu_cauchy_bad_mus_exits_2(tmp_path, capsys, line):
         ("bona-smith", "amplitude = 1e-320"),
         # E^s and the half-norm of the coercivity scan's largest state overflow
         ("energy-drift", "coercivity_amp_hi = 1e300"),
+        # lam = 0 scales nothing, and dt / lam^{2l+1} would divide by zero
+        ("scaling", "lam = 0"),
     ],
 )
 def test_exp_bad_input_exits_2_before_solving(tmp_path, capsys, monkeypatch, name, line):
@@ -717,7 +752,7 @@ def test_exp_mu_cauchy_refuses_a_step_count_above_the_bound(tmp_path, capsys, mo
 @pytest.mark.parametrize("line", ["l = 40", "l = 300"])
 def test_exp_conservation_refuses_a_level_above_the_bound(tmp_path, capsys, monkeypatch, line):
     # level 40 of the Lenard recursion would take days: refused before it is built
-    monkeypatch.setattr("kdvlab.experiments.hierarchy_flow", _no_run)
+    monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
     monkeypatch.setattr("kdvlab.experiments.solve", _no_run)
     cfg = _write(tmp_path, "e.cfg", line + "\n")
     out = tmp_path / "out"

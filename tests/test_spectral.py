@@ -684,6 +684,27 @@ def test_the_model_flow_moves_the_hill_spectrum():
     assert _hill_drift(model_flow(2), 6.25e-3) > 1e-4
 
 
+@pytest.mark.parametrize("i", range(3))
+def test_a_mutated_hier2_coefficient_moves_the_hill_spectrum(i):
+    # one of hier2's three nonlinear coefficients scaled by 1.01 drifts 2.98e-6,
+    # 5.70e-6 and 5.72e-6 against 5.12e-10 unmutated: the spectrum certifies level(2)
+    flow = hierarchy_flow(2)
+    monomials = flow.nonlinear.monomials
+    assert len(monomials) == 3
+    m = monomials[i]
+    mutated = DiffPoly([*monomials[:i], dataclasses.replace(m, coeff=m.coeff * 101 / 100), *monomials[i + 1:]])
+    assert _hill_drift(dataclasses.replace(flow, nonlinear=mutated), 6.25e-3) > 1e-6
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ETD4's hier3 Hill drift goes from 1.70e-7 at 100 steps only to 1.29e-7 at 1600",
+)
+def test_hier3_keeps_the_hill_spectrum_as_the_steps_shrink():
+    coarse, fine = (_hill_drift(hierarchy_flow(3), 7.8e-4, steps) for steps in (100, 1600))
+    assert fine <= coarse / 4, (coarse, fine)
+
+
 # ---------------------------------------------------------------------------
 # the compiled right-hand-side plan against per-monomial quadrature
 # ---------------------------------------------------------------------------
