@@ -470,22 +470,33 @@ def test_hierarchy_gen_refuses_a_level_above_the_bound(tmp_path, capsys, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_the_run_bounds_admit_every_tier1_run():
+def test_the_run_bounds_admit_every_tier1_run(monkeypatch):
     # levels 0..12 (generate(12) and the level digests), the 6400 steps of the
     # longest solve, blueprints to l = 7 and alpha tables to l = 12; the bounds
-    # are inclusive, and one above each is refused before any work
+    # are inclusive (a run at each bound passes its check and reaches the
+    # stubbed recursion), and one above each is refused before any work
     top, most = hierarchy.MAX_LEVEL, spectral.MAX_STEPS
+    cascade, alpha = modenergy.MAX_CASCADE, ibpcalc.MAX_ALPHA
     assert top >= 12 and most >= 6400
-    assert modenergy.MAX_CASCADE >= 7 and ibpcalc.MAX_ALPHA >= 12
+    assert cascade >= 7 and alpha >= 12
+    monkeypatch.setattr(hierarchy, "_LEVELS", [])
+    monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
+    monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
+    monkeypatch.setattr(ibpcalc, "_TABLES", {})
+    monkeypatch.setattr(ibpcalc, "comb", _no_run)
+    for run in (lambda: hierarchy.generate(top), lambda: modenergy.build_energy(cascade),
+                lambda: ibpcalc.alpha_coeffs(alpha)):
+        with pytest.raises(AssertionError, match="reached the run"):
+            run()
     with pytest.raises(ValueError, match="level bound"):
         hierarchy.generate(top + 1)
     SolverConfig(dt=1.0, t_final=float(most))
     with pytest.raises(ValueError, match="step count"):
         SolverConfig(dt=1.0, t_final=float(most + 1))
     with pytest.raises(ValueError, match="cascade level"):
-        modenergy.build_energy(modenergy.MAX_CASCADE + 1)
+        modenergy.build_energy(cascade + 1)
     with pytest.raises(ValueError, match="identity level"):
-        ibpcalc.alpha_coeffs(ibpcalc.MAX_ALPHA + 1)
+        ibpcalc.alpha_coeffs(alpha + 1)
 
 
 @pytest.mark.parametrize(
@@ -501,16 +512,6 @@ def test_an_exact_recursion_above_its_bound_is_refused(tmp_path, capsys, monkeyp
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
     assert _one_error_line(capsys)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_exp_energy_drift_refuses_a_level_above_the_cascade_bound(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
-    monkeypatch.setattr("kdvlab.experiments.solve", _no_run)
-    cfg = _write(tmp_path, "e.cfg", "l = 12\ns = 44\n")
-    out = tmp_path / "out"
-    assert main(["exp", "energy-drift", "--config", cfg, "--out", str(out)]) == 2
-    assert _one_error_line(capsys)
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", ["diagnostics.s = 400", "energy.s = 400"])
@@ -749,14 +750,20 @@ def test_exp_mu_cauchy_refuses_a_step_count_above_the_bound(tmp_path, capsys, mo
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["l = 40", "l = 300"])
-def test_exp_conservation_refuses_a_level_above_the_bound(tmp_path, capsys, monkeypatch, line):
-    # level 40 of the Lenard recursion would take days: refused before it is built
+@pytest.mark.parametrize(
+    ("name", "line"),
+    [("conservation", "l = 40"), ("conservation", "l = 300"), ("energy-drift", "l = 12\ns = 44")],
+    ids=["l = 40", "l = 300", "energy-drift l = 12 s = 44"],
+)
+def test_exp_conservation_refuses_a_level_above_the_bound(tmp_path, capsys, monkeypatch, name, line):
+    # level 40 of the Lenard recursion would take days, the cascade at l = 9
+    # already 8 s: refused before either is built
     monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
+    monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
     monkeypatch.setattr("kdvlab.experiments.solve", _no_run)
     cfg = _write(tmp_path, "e.cfg", line + "\n")
     out = tmp_path / "out"
-    assert main(["exp", "conservation", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["exp", name, "--config", cfg, "--out", str(out)]) == 2
     assert _one_error_line(capsys)
     assert not out.exists()
 
