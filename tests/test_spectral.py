@@ -661,9 +661,9 @@ def _hill_spectrum(u, m, count):
     return np.concatenate([np.linalg.eigvalsh(np.diag((j + theta) ** 2) - coupling)[:count] for theta in (0.0, 0.5)])
 
 
-def _hill_drift(flow, t_final, steps=400):
+def _hill_drift(flow, t_final, steps=400, amplitude=1.0):
     """Max change of the 12 lowest Hill eigenvalues of each kind over an ETD4 solve from band-10 data."""
-    u0 = random_decay_field(128, decay=6, seed=1, amplitude=1.0, kmax=10)
+    u0 = random_decay_field(128, decay=6, seed=1, amplitude=amplitude, kmax=10)
     u = solve(u0, flow, SolverConfig(n=128, dt=t_final / steps, t_final=t_final, diagnostics_every=steps,
                                      hamiltonians=()))[0]
     return np.max(np.abs(_hill_spectrum(u, 64, 12) - _hill_spectrum(u0, 64, 12)))
@@ -684,16 +684,32 @@ def test_the_model_flow_moves_the_hill_spectrum():
     assert _hill_drift(model_flow(2), 6.25e-3) > 1e-4
 
 
+def _mutated(flow, i):
+    """flow with the coefficient of its i-th nonlinear monomial scaled by 1.01."""
+    monomials = flow.nonlinear.monomials
+    m = monomials[i]
+    mutated = DiffPoly([*monomials[:i], dataclasses.replace(m, coeff=m.coeff * 101 / 100), *monomials[i + 1:]])
+    return dataclasses.replace(flow, nonlinear=mutated)
+
+
 @pytest.mark.parametrize("i", range(3))
 def test_a_mutated_hier2_coefficient_moves_the_hill_spectrum(i):
     # one of hier2's three nonlinear coefficients scaled by 1.01 drifts 2.98e-6,
     # 5.70e-6 and 5.72e-6 against 5.12e-10 unmutated: the spectrum certifies level(2)
     flow = hierarchy_flow(2)
-    monomials = flow.nonlinear.monomials
-    assert len(monomials) == 3
-    m = monomials[i]
-    mutated = DiffPoly([*monomials[:i], dataclasses.replace(m, coeff=m.coeff * 101 / 100), *monomials[i + 1:]])
-    assert _hill_drift(dataclasses.replace(flow, nonlinear=mutated), 6.25e-3) > 1e-6
+    assert len(flow.nonlinear.monomials) == 3
+    assert _hill_drift(_mutated(flow, i), 6.25e-3) > 1e-6
+
+
+@pytest.mark.parametrize("i", [None, 0, 1, 2], ids=["unmutated", "7/3 u u5", "7 u1 u4", "35/3 u2 u3"])
+def test_a_mutated_hier3_quadratic_coefficient_moves_the_hill_spectrum(i):
+    # at amplitude 1.0 hier3's own ETD4 drift hides a mutation, at 0.1 it reads
+    # 1.25e-8; each quadratic coefficient scaled by 1.01 drifts 1.95e-7, 5.96e-7
+    # and 9.76e-7.  The cubic and quartic coefficients stay hidden (CHANGES.md)
+    flow = hierarchy_flow(3)
+    assert [len(m.factors) for m in flow.nonlinear.monomials[:3]] == [2, 2, 2]
+    drift = _hill_drift(flow if i is None else _mutated(flow, i), 0.01, amplitude=0.1)
+    assert (drift < 5e-8) == (i is None), drift
 
 
 @pytest.mark.xfail(
