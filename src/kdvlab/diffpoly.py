@@ -81,6 +81,14 @@ class DiffMonomial:
         return f"({self.coeff})*{body}"
 
 
+def _sorted_monomial(coeff, factors: tuple[Factor, ...]) -> DiffMonomial:
+    """A DiffMonomial of factors that are sorted already, built without __post_init__'s sort."""
+    m = object.__new__(DiffMonomial)
+    object.__setattr__(m, "coeff", coeff)
+    object.__setattr__(m, "factors", factors)
+    return m
+
+
 def _merge_coeffs(terms: Iterable[tuple[Hashable, object]]) -> dict:
     """Sum exact coefficients by key; a key whose sum is == 0 is dropped."""
     acc: dict = {}
@@ -101,8 +109,9 @@ class DiffPoly:
 
     def __init__(self, monomials: Iterable[DiffMonomial] = ()):
         acc = _merge_coeffs((m.factors, m.coeff) for m in monomials if m.coeff != 0)
+        # every key is a monomial's factor tuple, sorted already
         self._terms = tuple(
-            DiffMonomial(c, f)
+            _sorted_monomial(c, f)
             for f, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), sum(k for _, k in kv[0]), kv[0]))
         )
 
@@ -164,14 +173,15 @@ def sym(symbol: str = "u", order: int = 0) -> DiffPoly:
 
 
 def _derive_monomial(m: DiffMonomial) -> list[DiffMonomial]:
-    seen: dict[Factor, int] = {}
-    for f in m.factors:
-        seen[f] = seen.get(f, 0) + 1
-    out = []
-    for (s, k), mult in seen.items():
-        idx = m.factors.index((s, k))
-        fac = m.factors[:idx] + ((s, k + 1),) + m.factors[idx + 1 :]
-        out.append(DiffMonomial(m.coeff * mult, fac))
+    """d/dx of m by the Leibniz rule: per distinct factor (s, k), its multiplicity times m with
+    the last copy of (s, k) raised to (s, k + 1), which keeps the factors sorted."""
+    fs, out, first = m.factors, [], 0
+    for i, (s, k) in enumerate(fs):
+        if i + 1 == len(fs) or fs[i + 1] != (s, k):
+            mult = i + 1 - first
+            coeff = m.coeff if mult == 1 else m.coeff * mult
+            out.append(_sorted_monomial(coeff, fs[:i] + ((s, k + 1),) + fs[i + 1 :]))
+            first = i + 1
     return out
 
 

@@ -116,7 +116,11 @@ def _loglog_slope(xs, ys) -> float:
     pts = np.array([xs, ys], float)
     if not (np.isfinite(pts).all() and (pts > 0).all()):
         raise ValueError(f"a log-log rate fit needs values that are finite and > 0, got {pts[1].tolist()}")
-    return float(np.polyfit(*np.log(pts), 1)[0])
+    # the least-squares slope sum dx dy / sum dx^2 in plain reductions: np.polyfit's
+    # lstsq starts LAPACK, which stays resident for the rest of the process
+    x, y = np.log(pts)
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
 
 
 # ---------------------------------------------------------------------------

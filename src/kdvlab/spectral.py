@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,6 +206,14 @@ def _d_rows(orders: tuple[int, ...], take: int) -> np.ndarray:
     return rows
 
 
+def _kept_band(n: int, dealias: float) -> int:
+    """The top mode K = dealias*n/2 of the band that an n-point plan or stepper keeps."""
+    if not (0.0 < dealias <= 1.0):
+        raise ValueError("dealias fraction must lie in (0, 1]")
+    # the Nyquist mode of a field is zero, so the kept band stops below it
+    return min(int(dealias * (n // 2)), n // 2 - 1)
+
+
 def _product_grid(degree: int, band: int) -> int:
     # mean of a degree-d product of band-K fields is exact once m > d*K
     m = degree * band + 2
@@ -262,13 +271,19 @@ class _Monomials:
         self.terms = tuple((c, tuple(index[q] for q in qs)) for c, qs in mons)
         self.degree = max((len(qs) for _, qs in mons), default=0)
 
-    def products(self, vals: np.ndarray) -> np.ndarray:
-        """sum_c c prod d^q u from the samples vals, one entry per order q."""
+    def products(self, vals: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """sum_c c prod d^q u from the samples vals, one entry per order q.
+
+        out, a pair of arrays shaped as one order's samples, takes the sum in out[0]
+        and each later term's product in out[1]; without it both are new arrays.
+        """
+        first, later = (None, None) if out is None else out
         total = None
         for c, idx in self.terms:
             # 1.0 * v is v bit for bit, so a unit coefficient costs no pass
             unit = c == 1.0 and len(idx) > 1
-            prod = vals[idx[0]] * vals[idx[1]] if unit else c * vals[idx[0]]
+            dest = first if total is None else later
+            prod = np.multiply(vals[idx[0]], vals[idx[1]], dest) if unit else np.multiply(c, vals[idx[0]], dest)
             for i in idx[2 if unit else 1 :]:
                 prod *= vals[i]
             total = prod if total is None else np.add(total, prod, out=total)
@@ -295,10 +310,7 @@ class _PolyPlan:
     __slots__ = ("take", "m", "poly", "rows")
 
     def __init__(self, p: DiffPoly, n: int, dealias: float):
-        if not (0.0 < dealias <= 1.0):
-            raise ValueError("dealias fraction must lie in (0, 1]")
-        # the Nyquist mode of a field is zero, so the kept band stops below it
-        self.take = min(int(dealias * (n // 2)), n // 2 - 1)
+        self.take = _kept_band(n, dealias)
         self.poly = _Monomials(p)
         self.m = max(_fast_size((self.poly.degree + 1) * self.take + 1), n)
         self.rows = _d_rows(self.poly.orders, self.take + 1)
@@ -307,18 +319,19 @@ class _PolyPlan:
         """count evaluators of modes 0..take of p(u), u a band of shape (*batch, take+1).
 
         Each returns a view of its own spectrum, valid until its next call; all
-        share one sampler, whose buffers each call uses up.
+        share one sampler and one pair of product buffers, which each call uses up.
         """
         poly = self.poly
         spectra = np.zeros((count, *batch, self.m // 2 + 1), np.complex128)
         # a polynomial without factors is its constant, set here once (an rfft overwrites it)
         spectra[..., 0] = poly.const
         sample = poly.terms and _sampler(self.rows, batch, self.m)
+        total, term = np.empty((2, *batch, self.m))
 
         def bound(spectrum, band):
             def evaluate(u):
                 if sample:
-                    np.fft.rfft(poly.products(sample(u)), norm="forward", out=spectrum)
+                    np.fft.rfft(poly.products(sample(u), (total, term)), norm="forward", out=spectrum)
                     if poly.const:
                         band[..., 0] += poly.const
                 return band
@@ -566,6 +579,29 @@ def _phi(j: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
+# The coefficient tables of a _Stepper, by name, on modes 0..take; read-only.  The key is
+# each flow's linear part (its name, l, dispersion and damping, and the damping's sign),
+# the grid and the scheme, and the symbols come first: one that overflows is refused
+# before a table is built.  Bounded: the stepping benchmark's pass uses 9 keys (72 KiB);
+# at MAX_GRID a flow's ETD4 tables take 0.5 MiB
+@functools.lru_cache(maxsize=16)
+def _etd_tables(linear: tuple[tuple[FlowSpec, float], ...], n: int, take: int, dt: float, order: int) -> MappingProxyType:
+    lin = np.array([flow.linear_on(n) for flow, _ in linear])
+    z = dt * (lin[0] if len(linear) == 1 else lin)[..., : take + 1]
+    tables = {"e_full": np.exp(z)}
+    if order == 2:
+        tables.update(h_phi1=dt * _phi(1, z), h_phi2=dt * _phi(2, z))
+    else:
+        p1, p2, p3 = _phi(1, z), _phi(2, z), _phi(3, z)
+        tables.update(
+            e_half=np.exp(z / 2.0), h_phi1_half=(dt / 2.0) * _phi(1, z / 2.0),
+            w1=p1 - 3.0 * p2 + 4.0 * p3, w2=2.0 * p2 - 4.0 * p3, w3=-p2 + 4.0 * p3,
+        )
+    for table in tables.values():
+        table.setflags(write=False)
+    return MappingProxyType(tables)
+
+
 class _Stepper:
     """Precomputed exponential one-step scheme for flows sharing a nonlinearity.
 
@@ -573,7 +609,8 @@ class _Stepper:
     nothing above it is stored or stepped.  One flow's state is 1-D; a stack
     of B flows is (B, take+1), each row with its own linear symbol.  The step
     sizes are folded into the phi coefficients in the order the scheme
-    multiplies them, so the bits are those of h * phi * N.
+    multiplies them, so the bits are those of h * phi * N.  The tables are
+    shared by every stepper of the same flows, grid and scheme (_etd_tables).
 
     A stepper serves one thread: each stage's RHS comes from its own evaluator
     (_PolyPlan.bind), and the stages eu, a, b, c are formed in place in one
@@ -582,24 +619,14 @@ class _Stepper:
     """
 
     def __init__(self, flows: Sequence[FlowSpec], n: int, dt: float, dealias: float, order: int):
-        # the symbols first: one that overflows is refused before the plan's tables warn
-        lin = np.array([flow.linear_on(n) for flow in flows])
+        self.dt, self.order, self.take = dt, order, _kept_band(n, dealias)
+        # the tables first: an overflowing symbol is refused before the plan's tables warn
+        # a damping of -0.0 equals 0.0 but turns the sign of e^z's zero imaginary part at k = 0
+        linear = tuple((replace(flow, nonlinear=DiffPoly()), math.copysign(1.0, flow.damping)) for flow in flows)
+        vars(self).update(_etd_tables(linear, n, self.take, dt, order))
         plan = _PolyPlan(flows[0].nonlinear, n, dealias)
-        self.dt, self.order, self.take = dt, order, plan.take
-        z = dt * (lin[0] if len(flows) == 1 else lin)[..., : plan.take + 1]
-        self._rhs = plan.bind(z.shape[:-1], order)
-        self._stages = tuple(np.empty((4, *z.shape), np.complex128))
-        self.e_full = np.exp(z)
-        if order == 2:
-            self.h_phi1 = dt * _phi(1, z)
-            self.h_phi2 = dt * _phi(2, z)
-        else:
-            self.e_half = np.exp(z / 2.0)
-            self.h_phi1_half = (dt / 2.0) * _phi(1, z / 2.0)
-            p1, p2, p3 = _phi(1, z), _phi(2, z), _phi(3, z)
-            self.w1 = p1 - 3.0 * p2 + 4.0 * p3
-            self.w2 = 2.0 * p2 - 4.0 * p3
-            self.w3 = -p2 + 4.0 * p3
+        self._rhs = plan.bind(self.e_full.shape[:-1], order)
+        self._stages = tuple(np.empty((4, *self.e_full.shape), np.complex128))
 
     def advance(self, u: np.ndarray, t: float) -> np.ndarray:
         # each ufunc writes into its third argument

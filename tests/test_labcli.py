@@ -11,12 +11,15 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kdvlab import cli, hierarchy, ibpcalc, modenergy, spectral
 from kdvlab.cli import main, parse_flat_config
 from kdvlab.experiments import (
     EXPERIMENTS,
+    _loglog_slope,
+    exp_bona_smith,
     exp_conservation,
     exp_energy_drift,
     exp_mu_cauchy,
@@ -671,6 +674,57 @@ def test_energy_drift_zero_data():
     )
     assert r.metrics["energy_drift"] == 0.0
     assert r.metrics["empirical_C"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the log-log rate fit
+# ---------------------------------------------------------------------------
+
+
+def _default_fit_ladders():
+    """The (x, y) points of every rate fit that exp mu-cauchy and exp bona-smith make at their defaults."""
+    rows = exp_mu_cauchy().tables["distances"][1]
+    ladders = [([row[0] for row in rows], [row[2] for row in rows])]
+    for _, rows in exp_bona_smith().tables.values():
+        for p in sorted({row[0] for row in rows}):
+            ladders.append(([row[1] for row in rows if row[0] == p], [row[2] for row in rows if row[0] == p]))
+    return ladders
+
+
+def _seeded_fit_ladders(count=20):
+    """Ladders of 3..8 points drawn with repeats from 2 or more distinct x values, y about a power of x."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(count):
+        size = int(rng.integers(3, 9))
+        pool = np.exp(rng.uniform(-8.0, 3.0, size=int(rng.integers(2, size))))
+        xs = np.concatenate([pool[:2], rng.choice(pool, size=size - 2)])
+        slope = rng.uniform(0.3, 3.0) * rng.choice([-1.0, 1.0])
+        ys = np.exp(slope * np.log(xs) + rng.uniform(-5.0, 5.0) + rng.normal(0.0, 0.1, size=size))
+        yield xs.tolist(), ys.tolist()
+
+
+def test_loglog_slope_is_the_least_squares_slope():
+    # np.polyfit is the oracle: the closed form sum dx dy / sum dx^2 agrees to
+    # 1e-12, on the default ladders (5 points for mu-cauchy, 4 for each of
+    # bona-smith's four fits) and on seeded ones that repeat x values
+    defaults = _default_fit_ladders()
+    assert [len(xs) for xs, _ in defaults] == [5, 4, 4, 4, 4]
+    for xs, ys in defaults + list(_seeded_fit_ladders()):
+        want = np.polyfit(np.log(xs), np.log(ys), 1)[0]
+        assert abs(_loglog_slope(xs, ys) - want) <= 1e-12 * abs(want), (xs, ys)
+
+
+@pytest.mark.parametrize("name", ["mu-cauchy", "bona-smith"])
+def test_rate_fits_pass_without_lapack(tmp_path, monkeypatch, capsys, name):
+    # the fits start no LAPACK routine; np.polyfit is refused too, since it
+    # holds its own reference to lstsq
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate fit called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    assert main(["exp", name, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"{name}: PASS"
 
 
 # ---------------------------------------------------------------------------

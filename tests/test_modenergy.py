@@ -618,18 +618,26 @@ _GRID_ROUNDOFF = pytest.mark.xfail(
 )
 
 
+def _grid_case(l, n, kmax, passes=False):
+    return pytest.param(l, n, kmax, id=f"{l}-{kmax}", marks=() if passes else _GRID_ROUNDOFF)
+
+
 @pytest.mark.parametrize(
-    "l, kmax", [(2, 41), pytest.param(3, 41, marks=_GRID_ROUNDOFF), pytest.param(4, 32, marks=_GRID_ROUNDOFF),
-                pytest.param(5, 24, marks=_GRID_ROUNDOFF)],
+    "l, n, kmax",
+    [_grid_case(2, 128, 41, passes=True), _grid_case(3, 128, 41), _grid_case(4, 128, 32), _grid_case(5, 128, 24)]
+    + [_grid_case(l, 512, 169) for l in (2, 3, 4, 5)],
 )
-def test_energy_items_do_not_depend_on_the_grid(blueprints, l, kmax):
+def test_energy_items_do_not_depend_on_the_grid(blueprints, l, n, kmax):
     # in exact arithmetic every grid at or above _product_grid(degree, band)
     # gives each dE^s/dt item the same value; the worst item gap between the
-    # field's band K and 2K + 1, over sum |items|, reads 4.8e-14 at l = 2,
-    # 6.0e-10 at 3, 1.95e-6 at 4 and 5.3e-2 at 5 (totals -4992.9 and -21944)
+    # field's band K and 2K + 1, over sum |items|, reads at N = 128 4.8e-14 at
+    # l = 2, 6.0e-10 at 3, 1.95e-6 at 4 and 5.3e-2 at 5 (totals -4992.9 and
+    # -21944), and at N = 512, band N/3 - 1 = 169, 1.08e-12 at l = 2, 6.2e-7 at
+    # 3, 1.0 at 4 (totals -4697.6 and -9750.4) and 3.0e5 at 5 (totals -2.2e13
+    # and 6.5e18)
     bp, s = blueprints[l], 4.0 * l - 4.0
     items = tuple(bp.bounded_remainder + bp.markers)
-    u = random_decay_field(128, decay=s + 2, seed=1, amplitude=0.1, kmax=kmax)
+    u = random_decay_field(n, decay=s + 2, seed=1, amplitude=0.1, kmax=kmax)
     band = u.band_limit()
     on_band, wider = (np.array(modenergy._EnergyPlan(items, s, b).apply(u)) for b in (band, 2 * band + 1))
     scale = np.sum(np.abs(on_band))

@@ -877,6 +877,18 @@ def test_unit_coefficient_products_keep_bits():
         assert np.array_equal(vals, before)
 
 
+def test_products_into_a_buffer_keep_bits():
+    # a bound evaluator's buffer takes the sum in out[0] and each later term in
+    # out[1]: the bits of the allocating form, for one term and for many
+    vals = np.random.default_rng(4).standard_normal((7, 3, 96))
+    for flow in (model_flow(2), hierarchy_flow(3)):
+        poly = _Monomials(flow.nonlinear)
+        out = tuple(np.empty((2, 3, 96)))
+        got = poly.products(vals[: len(poly.orders)], out)
+        assert np.shares_memory(got, out[0]) and got.shape == out[0].shape
+        assert np.array_equal(got, poly.products(vals[: len(poly.orders)]))
+
+
 def test_rhs_plan_is_alias_free_on_an_enlarged_grid():
     # u^4 u_x with u = cos x + cos(Kx)/2 reaches mode 5K; on N = 200 the plan's
     # grid is rounded up past 6K + 2 to a 5-smooth size
@@ -1118,6 +1130,8 @@ def test_concurrent_solves_are_bit_identical():
         ]
 
     serial = [run(job) for job in jobs]
+    # the threads race to build the shared ETD tables
+    spectral._etd_tables.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -1215,6 +1229,64 @@ def test_returned_states_stay_put_and_share_no_memory(order, members):
         assert np.array_equal(state, copy), i
         assert not any(np.shares_memory(state, other) for other in states[:i] + states[i + 1 :]), i
         assert not any(np.shares_memory(state, buffer) for buffer in buffers), i
+
+
+_TABLES = {2: ("e_full", "h_phi1", "h_phi2"), 4: ("e_full", "e_half", "h_phi1_half", "w1", "w2", "w3")}
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_steppers_of_one_key_share_read_only_tables(order):
+    # the key is each flow's linear part, n, take, dt and order; the
+    # nonlinearity is not in it
+    n, dt, dealias = 128, 1e-3, 2.0 / 3.0
+    flows = [regularized_flow(2, 1e-3), regularized_flow(2, 2e-3)]
+    a = _Stepper(flows, n, dt, dealias, order)
+    b = _Stepper([regularized_flow(2, 1e-3), regularized_flow(2, 2e-3)], n, dt, dealias, order)
+    c = _Stepper([dataclasses.replace(flow, nonlinear=DiffPoly()) for flow in flows], n, dt, dealias, order)
+    for name in _TABLES[order]:
+        table = getattr(a, name)
+        assert table is getattr(b, name) is getattr(c, name) and not table.flags.writeable, name
+    assert a._rhs is not b._rhs and a._stages is not b._stages
+    # a different damping (-0.0 too, which == 0.0), dt, order or grid builds new tables
+    zero, signed = (_Stepper([_damped(model_flow(2), mu)], n, dt, dealias, order) for mu in (0.0, -0.0))
+    assert signed.e_full[0].imag.hex() != zero.e_full[0].imag.hex()
+    for other in (
+        _Stepper([flows[0], regularized_flow(2, 4e-3)], n, dt, dealias, order),
+        _Stepper(flows, n, dt / 2, dealias, order),
+        _Stepper(flows, n, dt, dealias, 6 - order),
+        _Stepper(flows, n, dt, 0.5, order),
+        _Stepper(flows, 2 * n, dt, dealias / 2, order),
+    ):
+        assert other.e_full is not a.e_full
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_a_stepper_built_after_cache_clear_marches_bit_for_bit(order):
+    # a solve on cached tables, and one on tables built afresh, keep the bits
+    u0 = random_decay_field(128, decay=3.0, seed=5, amplitude=0.1)
+    cfg = SolverConfig(n=128, dt=1e-4, t_final=2e-3, order=order, diagnostics_every=5)
+    ladder = [regularized_flow(2, mu) for mu in (1e-2, 5e-3)]
+    runs = []
+    for clear in (True, False, True):
+        if clear:
+            spectral._etd_tables.cache_clear()
+        runs.append([(u.modes, d.times, d.l2, sorted(d.hams.items())) for u, d in solve_batch(u0, ladder, cfg)])
+    for run in runs[1:]:
+        for (modes, *rest), (ref_modes, *ref_rest) in zip(run, runs[0]):
+            assert np.array_equal(modes.view(np.uint64), ref_modes.view(np.uint64)) and rest == ref_rest
+
+
+def test_an_overflowing_symbol_is_refused_with_tables_cached():
+    # mu k^6 at mu = 1e300 is finite for k <= 7 and overflows from k = 24: the
+    # n = 16 tables are built and cached, and every n = 64 stepper is refused
+    # before anything warns, since a refusal is never cached
+    flow = regularized_flow(2, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(_Stepper([flow], 16, 1e-3, 2.0 / 3.0, 4).e_full).all()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"regularized flow's symbol \(l = 2, mu = 1e\+300\) overflows on N = 64"):
+                _Stepper([flow], 64, 1e-3, 2.0 / 3.0, 4)
 
 
 def test_record_values_groups_rows_by_band_bit_for_bit():
