@@ -246,6 +246,11 @@ def _fast_size(m: int) -> int:
     return best
 
 
+def _quadrature_grid(degree: int, band: int) -> int:
+    """The grid on which _integrals takes the mean of a degree-d integrand of band K."""
+    return _fast_size(_product_grid(degree, band))
+
+
 class _Monomials:
     """A single-symbol polynomial as its distinct derivative orders.
 
@@ -393,7 +398,7 @@ def _integrals(poly: _Monomials, rows: np.ndarray, band: int) -> np.ndarray:
     """
     if not poly.terms:
         return np.full(rows.shape[:-1], TAU * poly.const)
-    m = _fast_size(_product_grid(poly.degree, band))
+    m = _quadrature_grid(poly.degree, band)
     # a linear integrand's grid may stop below its band; only its mean counts
     take = min(band, m // 2) + 1
     vals = _sampler(_d_rows(poly.orders, take), rows.shape[:-1], m)(rows[..., :take])
@@ -664,7 +669,7 @@ class _Stepper:
 MAX_STEPS = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     n: int = 256
     dt: float = 1e-3
@@ -683,16 +688,22 @@ class SolverConfig:
             raise ValueError(f"the step count t_final / dt = {self.t_final} / {self.dt} overflows")
         if self.t_final / self.dt > MAX_STEPS:
             raise ValueError(f"the step count t_final / dt = {self.t_final} / {self.dt} is above the bound {MAX_STEPS}")
+        if abs(self.steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
+            raise ValueError("t_final must be an integer number of steps")
         if self.order not in (2, 4):
             raise ValueError(f"integrator order must be 2 or 4, got {self.order}")
         if self.diagnostics_every < 1:
             raise ValueError(f"diagnostics_every must be >= 1, got {self.diagnostics_every}")
         if not 16 <= self.n <= MAX_GRID or self.n % 2:
             raise ValueError(f"the grid size must be even and in [16, {MAX_GRID}], got {self.n}")
-        if not (0.0 < self.dealias <= 1.0):
-            raise ValueError("dealias fraction must lie in (0, 1]")
+        _kept_band(self.n, self.dealias)
         if not all(type(m) is int and m >= 0 for m in self.hamiltonians):
             raise ValueError(f"hamiltonians must be non-negative ints, got {self.hamiltonians!r}")
+
+    @property
+    def steps(self) -> int:
+        """The step count t_final / dt, an integer by construction."""
+        return round(self.t_final / self.dt)
 
 
 @dataclass
@@ -757,17 +768,12 @@ def solve_batch(
         raise ValueError("solve_batch needs at least one flow")
     if any(flow.nonlinear != flows[0].nonlinear for flow in flows):
         raise ValueError("the flows of a batch must share one nonlinearity")
-    n_steps = int(round(cfg.t_final / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
-        raise ValueError("t_final must be an integer number of steps")
     stepper = _Stepper(flows, u0.n, cfg.dt, cfg.dealias, cfg.order)
     hams = {m: _Monomials(hierarchy.level(m).hamiltonian.integrand) for m in cfg.hamiltonians}
     diags = [Diagnostics(hams={m: [] for m in cfg.hamiltonians}) for _ in flows]
     # floats of the widest array one recorded state fills: its complex half-spectrum
     # or a Hamiltonian's samples on the march's band
-    widest = max(
-        [u0.n + 2] + [len(p.orders) * _fast_size(_product_grid(p.degree, stepper.take)) for p in hams.values()]
-    )
+    widest = max([u0.n + 2] + [len(p.orders) * _quadrature_grid(p.degree, stepper.take) for p in hams.values()])
     per = max(1, _RECORD_BYTES // (8 * len(flows) * widest))
     pending: list[tuple[float, np.ndarray]] = []
 
@@ -800,10 +806,10 @@ def solve_batch(
     modes = np.array(np.broadcast_to(u0.modes[: stepper.take + 1], stepper.e_full.shape))
     try:
         record(0.0, modes)
-        for start in range(0, n_steps, cfg.diagnostics_every):
+        for start in range(0, cfg.steps, cfg.diagnostics_every):
             # an overflowing step is reported once, by its BlowUp, not also by NumPy
             with np.errstate(**_QUIET):
-                for i in range(start, min(start + cfg.diagnostics_every, n_steps)):
+                for i in range(start, min(start + cfg.diagnostics_every, cfg.steps)):
                     modes = stepper.advance(modes, i * cfg.dt)
             record((i + 1) * cfg.dt, modes)
     except BlowUp:

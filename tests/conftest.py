@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from kdvlab.modenergy import build_energy
@@ -22,3 +23,27 @@ def blueprints():
     cache, which the results do not depend on.
     """
     return _Blueprints()
+
+
+class _Transforms(list):
+    """(name, length) of each np.fft.rfft and np.fft.irfft call, in call order.
+
+    The length is the real side's: rfft's input and irfft's output length.
+    """
+
+    def counts(self) -> dict[str, int]:
+        return {name: sum(call == name for call, _ in self) for name in ("rfft", "irfft")}
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """The transforms of the test so far; kdvlab looks both up on np.fft at each call."""
+    calls = _Transforms()
+    for name in ("rfft", "irfft"):
+        def call(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append((_name, (out if _name == "irfft" else np.asarray(args[0])).shape[-1]))
+            return out
+
+        monkeypatch.setattr(np.fft, name, call)
+    return calls

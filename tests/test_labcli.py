@@ -377,13 +377,13 @@ SOLVE_REFUSALS = [
     ]),
     # E^s at l = 2 needs s > 7/2: refused before the march, not at the first record
     ("test_solve_refuses_a_below_threshold_energy_s_before_any_step", ("cli.solve",), "energy.s = 3.5"),
-    # 1e300 steps, 1.001e6 steps at dt = 1e-3 (above MAX_STEPS), a level above
-    # MAX_LEVEL, an energy column above MAX_CASCADE or a grid above MAX_GRID:
-    # refused before the flow or the energy is built or a step is taken
+    # 1e300 steps, 1.001e6 steps at dt = 1e-3 (above MAX_STEPS), 3.33 steps, a
+    # level above MAX_LEVEL, an energy column above MAX_CASCADE or a grid above
+    # MAX_GRID: refused before the flow or the energy is built or a step is taken
     ("test_solve_refuses_a_run_that_cannot_finish_before_any_step",
      ("hierarchy.lenard_step", "modenergy._quadratic_expansion", "cli.solve"),
-     ["time.dt = 1e-300", "time.T = 1001", "flow.kind = hierarchy\nflow.l = 40", "flow.kind = hierarchy\nflow.l = 300",
-      "flow.l = 12\nenergy.s = 44\ngrid.N = 16", "grid.N = 4294967296"]),
+     ["time.dt = 1e-300", "time.T = 1001", "time.dt = 0.3", "flow.kind = hierarchy\nflow.l = 40",
+      "flow.kind = hierarchy\nflow.l = 300", "flow.l = 12\nenergy.s = 44\ngrid.N = 16", "grid.N = 4294967296"]),
     # (1 + k^2)^400 overflows on the grid: refused before the energy is built or a step is taken
     ("test_solve_refuses_an_overflowing_s_before_any_step", ("cli.build_energy", "cli.solve"),
      ["diagnostics.s = 400", "energy.s = 400"]),
@@ -425,6 +425,10 @@ EXP_REFUSALS = [
     ]),
     ("test_exp_mu_cauchy_refuses_a_step_count_above_the_bound", ("experiments.solve_batch",),
      ("mu-cauchy", "dt = 1e-300")),
+    # t_final / dt = 3.33 steps: refused before E^s is built or evaluated or a step is taken
+    ("test_exp_refuses_a_fractional_step_count_before_any_work",
+     ("experiments.build_energy", "experiments.evaluate_energy", "experiments.solve"),
+     [("energy-drift", "dt = 0.3"), ("conservation", "dt = 0.3")]),
     # level 40 of the Lenard recursion would take days, the cascade at l = 9
     # already 8 s: refused before either is built
     ("test_exp_conservation_refuses_a_level_above_the_bound",

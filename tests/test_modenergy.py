@@ -543,26 +543,14 @@ def test_plan_cache_follows_blueprint_edits():
     assert energy_time_derivative(bp, s, u) == after
 
 
-def test_energy_time_derivative_fft_count_is_pinned(blueprints, monkeypatch):
-    counts = {"rfft": 0, "irfft": 0}
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
-    monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
+def test_energy_time_derivative_fft_count_is_pinned(blueprints, transforms):
     # a copy with an empty plan cache: the first call builds the plan
     bp = replace(blueprints[5])
     seen = []
     for u in (_fields(128, 16.0) * 2)[1:]:
-        counts.update(rfft=0, irfft=0)
+        transforms.clear()
         energy_time_derivative(bp, 16, u)
-        seen.append(dict(counts))
+        seen.append(transforms.counts())
     # per grid: one irfft for every factor and the norm gap together, one
     # rfft and one irfft for the tail cores and for each block of bundles
     # with outer derivatives (about 128 KiB of rows a block); building the
@@ -625,7 +613,8 @@ def _grid_case(l, n, kmax, passes=False):
 @pytest.mark.parametrize(
     "l, n, kmax",
     [_grid_case(2, 128, 41, passes=True), _grid_case(3, 128, 41), _grid_case(4, 128, 32), _grid_case(5, 128, 24)]
-    + [_grid_case(l, 512, 169) for l in (2, 3, 4, 5)],
+    + [_grid_case(l, 512, 169) for l in (2, 3, 4, 5)]
+    + [_grid_case(l, n, kmax) for l in (6, 7) for n, kmax in ((128, 41), (512, 169))],
 )
 def test_energy_items_do_not_depend_on_the_grid(blueprints, l, n, kmax):
     # in exact arithmetic every grid at or above _product_grid(degree, band)
@@ -634,7 +623,9 @@ def test_energy_items_do_not_depend_on_the_grid(blueprints, l, n, kmax):
     # l = 2, 6.0e-10 at 3, 1.95e-6 at 4 and 5.3e-2 at 5 (totals -4992.9 and
     # -21944), and at N = 512, band N/3 - 1 = 169, 1.08e-12 at l = 2, 6.2e-7 at
     # 3, 1.0 at 4 (totals -4697.6 and -9750.4) and 3.0e5 at 5 (totals -2.2e13
-    # and 6.5e18)
+    # and 6.5e18).  At l = 6 and 7 (the blueprints test_cascade_output_is_pinned
+    # builds) it reads 1.35e5 and 8.4e6 at l = 6 (N = 128 with band 41, N = 512
+    # with band 169) and 1.51e8 and 3.55e8 at l = 7
     bp, s = blueprints[l], 4.0 * l - 4.0
     items = tuple(bp.bounded_remainder + bp.markers)
     u = random_decay_field(n, decay=s + 2, seed=1, amplitude=0.1, kmax=kmax)

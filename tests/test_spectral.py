@@ -345,9 +345,9 @@ def test_solve_refuses_a_config_on_another_grid(n, points):
 
 
 def test_time_grid_must_divide():
-    cfg = SolverConfig(n=64, dt=3e-3, t_final=0.01, hamiltonians=())
-    with pytest.raises(ValueError):
-        solve(cosine_field(64, 1), model_flow(2), cfg)
+    # the config itself refuses a fractional step count, before any solve
+    with pytest.raises(ValueError, match="integer number of steps"):
+        SolverConfig(n=64, dt=3e-3, t_final=0.01, hamiltonians=())
 
 
 def test_config_validation():
@@ -641,6 +641,17 @@ def test_hier1_and_hier2_commute_at_order_on_band_20_data():
     assert min(rates) >= 2.5, (gaps, rates)
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP items 3 and 9: on full-band data (kmax = 63 of N = 128) ETD4's hier1/hier2 gap reads "
+    "2.25e-7, 9.85e-8, 3.15e-8 and 1.14e-8 over 100..800 steps, rates 1.19, 1.64 and 1.46",
+)
+def test_hier1_and_hier2_commute_at_order_on_full_band_data():
+    gaps = [_commutation_gap(hierarchy_flow(2), 6.25e-3, steps, kmax=63) for steps in (100, 200, 400, 800)]
+    rates = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
+    assert min(rates) >= 2.5, (gaps, rates)
+
+
 # ---------------------------------------------------------------------------
 # the Lax spectrum: every hierarchy flow is isospectral for Hill's operator
 # ---------------------------------------------------------------------------
@@ -829,19 +840,11 @@ def _five_smooth(m):
     return m == 1
 
 
-def test_functional_eval_is_exact_on_rounded_grids(monkeypatch):
+def test_functional_eval_is_exact_on_rounded_grids(transforms):
     # at K = 85, _product_grid gives 172, 258, 342, 428 for d = 2..5, none
     # 5-smooth; the quadrature rounds them up and its means stay exact
     big_k, n = 85, 256
     assert not any(_five_smooth(_product_grid(d, big_k)) for d in (2, 3, 4, 5))
-    grids = []
-    irfft = np.fft.irfft
-
-    def recorded(*args, **kwargs):
-        grids.append(kwargs["n"])
-        return irfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "irfft", recorded)
     constant = np.zeros(n // 2 + 1, dtype=np.complex128)
     constant[0] = 0.7
     fields = [
@@ -853,12 +856,12 @@ def test_functional_eval_is_exact_on_rounded_grids(monkeypatch):
     for f in fields:
         for l in (0, 1, 2, 3):
             h = level(l).hamiltonian
-            grids.clear()
+            transforms.clear()
             got = functional_eval(h, f)
             ref, scale = _exact_functional(h.integrand, f)
             assert abs(got - ref) <= 1e-13 * scale, (l, got, ref)
             degree = max(len(monomial.factors) for monomial in h.integrand.monomials)
-            [m] = grids
+            [m] = [size for name, size in transforms if name == "irfft"]
             assert _five_smooth(m) and m > degree * f.band_limit(), (l, m)
     # the zero field gives exactly zero, the constant its closed form
     assert functional_eval(level(0).hamiltonian, fields[0]) == 0.0
@@ -913,76 +916,50 @@ def test_rhs_plan_is_alias_free_on_an_enlarged_grid():
     assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
-def test_rhs_fft_count_is_pinned(monkeypatch):
-    counts = {"rfft": 0, "irfft": 0}
-    rfft, irfft = np.fft.rfft, np.fft.irfft
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
-    monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
+def test_rhs_fft_count_is_pinned(transforms):
     flow, f = hierarchy_flow(3), _plan_field(1024, "smooth")
     seen = []
     for _ in range(2):
-        counts.update(rfft=0, irfft=0)
+        transforms.clear()
         rhs_field(flow, f, dealias=2.0 / 3.0)
-        seen.append(dict(counts))
+        seen.append(transforms.counts())
     # every derivative order in one batched irfft, the summed products in one rfft
     assert seen[0] == seen[1] == {"rfft": 1, "irfft": 1}
     # one order-4 step, whose records (no Hamiltonians) transform nothing
-    counts.update(rfft=0, irfft=0)
+    transforms.clear()
     solve(f, flow, SolverConfig(n=1024, dt=1e-4, t_final=1e-4, order=4, hamiltonians=()))
-    assert counts == {"rfft": 4, "irfft": 4}
+    assert transforms.counts() == {"rfft": 4, "irfft": 4}
 
 
-def test_batch_step_fft_count_is_pinned(monkeypatch):
+def test_batch_step_fft_count_is_pinned(transforms):
     # one order-4 step of six flows is four RHS evaluations of the whole
     # stack: 4 rfft + 4 irfft, as for one flow
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        def call(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, call)
     flows = [regularized_flow(2, mu) for mu in (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4, 3.125e-4)]
     cfg = SolverConfig(n=128, dt=1e-4, t_final=1e-4, order=4, hamiltonians=())
     solve_batch(0.1 * cosine_field(128, 1), flows, cfg)
-    assert counts == {"rfft": 4, "irfft": 4}
+    assert transforms.counts() == {"rfft": 4, "irfft": 4}
 
 
-def test_record_fft_count_is_pinned(monkeypatch):
+def test_record_fft_count_is_pinned(transforms):
     # a recorded Hamiltonian is one irfft of a chunk of kept bands on its own
     # grid, with no rfft and no transform shared with the march: the seven
     # states of this run share one band and fit one chunk
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        def call(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, call)
     f, steps = random_decay_field(128, decay=3.0, seed=5, amplitude=0.1), 6
 
     def run(hams):
-        counts.update(rfft=0, irfft=0)
+        transforms.clear()
         cfg = SolverConfig(n=128, dt=1e-3, t_final=steps * 1e-3, hamiltonians=hams)
         solve(f, hierarchy_flow(1), cfg)
-        return dict(counts)
+        return transforms.counts()
 
     with_hams, without = run((0, 1, 2)), run(())
     # records at t = 0 and after every step, one chunk
     assert with_hams["rfft"] == without["rfft"]
     assert with_hams["irfft"] - without["irfft"] == 3
     for m in (0, 1, 2):
-        counts.update(rfft=0, irfft=0)
+        transforms.clear()
         functional_eval(level(m).hamiltonian, f)
-        assert counts == {"rfft": 0, "irfft": 1}, m
+        assert transforms.counts() == {"rfft": 0, "irfft": 1}, m
 
 
 @pytest.mark.parametrize("every", [1, 7])
