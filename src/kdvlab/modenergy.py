@@ -583,7 +583,7 @@ class _GridPlan:
     gap's bundle is u with no outer derivative, exact since 1 * u = u.
     """
 
-    __slots__ = ("m", "rows", "n_factors", "orders", "factors", "cores", "a_outs", "blocks")
+    __slots__ = ("m", "rows", "n_factors", "orders", "factors", "cores", "blocks")
 
     def __init__(self, m: int, terms, index: list[int], s: float):
         self.m = m
@@ -612,7 +612,6 @@ class _GridPlan:
         self.rows, self.n_factors = len(row) + len(cores), len(row) - 1
         for (sigma, q), r in list(row.items())[1:]:
             factors.setdefault(sigma, []).append((orders.setdefault(q, len(orders)), r - 1))
-        self.orders = tuple(orders)
         self.factors = [(sigma, *map(_ix, zip(*qs))) for sigma, qs in factors.items()]
         self.cores = None
         if cores:
@@ -622,7 +621,10 @@ class _GridPlan:
             symbols = np.array([_d_weights(m, sigma) for sigma in sigmas])
             self.cores = (_ix(first), _ix(second), symbols, w[..., None], low.astype(np.intp), high.astype(np.intp))
 
-        self.a_outs = tuple(sorted(set().union(*(outs for _, outs in groups.values()))))
+        # the outer derivatives' orders follow the factors' in orders
+        for a in sorted(set().union(*(outs for _, outs in groups.values()))):
+            orders.setdefault(a, len(orders))
+        self.orders = tuple(orders)
         cap, packed = max(1, _BLOCK_BYTES // (8 * m)), []
         for g in groups:
             if not packed or sum(1 + len(groups[h][1]) for h in packed[-1] + [g]) > cap:
@@ -636,7 +638,7 @@ class _GridPlan:
             # factor j of every bundle, the shorter bundles padded with ones
             factor_rows = _ix([[groups[g][0][j] if j < len(g) else 0 for g in gs] for j in range(max(map(len, gs)))])
             layout = (len(gs), factor_rows, _ix([gs.index(g) for g in with_d]),
-                      _ix([with_d.index(g) for g, _ in derivs]), _ix([self.a_outs.index(a) for _, a in derivs]))
+                      _ix([with_d.index(g) for g, _ in derivs]), _ix([orders[a] for _, a in derivs]))
             rows = [(i, urow[(g, a)], b, c) for i, g, a, b, c in members if g in gs]
             self.blocks.append((layout, _ix(list(zip(*rows)))))
 
@@ -686,7 +688,7 @@ class _EnergyPlan:
             f = np.empty((g.rows, m))
             f[0] = 1.0
             take = min(modes.size, m // 2 + 1)
-            rows = _d_rows(g.orders, take)
+            rows = _d_rows(g.orders, m // 2 + 1)
             # every factor's spectrum, zero-padded here: one irfft for all of them
             spectra = np.zeros((g.n_factors, m // 2 + 1), dtype=complex)
             for sigma, q, at in g.factors:
@@ -695,7 +697,7 @@ class _EnergyPlan:
                     d_modes[sigma] = modes * gap
                 elif sigma not in d_modes:
                     d_modes[sigma] = modes * _d_weights(fieldval.n, sigma)
-                spectra[at, :take] = d_modes[sigma][:take] * rows[q] * m
+                spectra[at, :take] = d_modes[sigma][:take] * rows[q, :take] * m
             np.fft.irfft(spectra, n=m, out=f[1 : 1 + g.n_factors])
             del spectra  # as large as the factor rows: freed before the blocks run
             if g.cores:
@@ -706,7 +708,6 @@ class _EnergyPlan:
                 np.fft.irfft(np.fft.rfft(f[first] * f[second]) / m * symbols * m, n=m, out=f[tails])
                 for j in range(len(w)):
                     f[tails] -= w[j] * f[low[j]] * f[high[j]]
-            d_rows = _d_rows(g.a_outs, m // 2 + 1) if g.a_outs else None
             for (n, factor_rows, with_d, spectrum, a_out), (items, ia, ib, ic) in g.blocks:
                 # the block's bundles: the plain products, then the outer derivatives;
                 # each item's row of them becomes its integrand, and the rest is freed
@@ -714,7 +715,7 @@ class _EnergyPlan:
                 for fr in factor_rows:
                     u[:n] *= f[fr]
                 if len(a_out):
-                    np.fft.irfft((np.fft.rfft(u[with_d]) / m)[spectrum] * d_rows[a_out] * m, n=m, out=u[n:])
+                    np.fft.irfft((np.fft.rfft(u[with_d]) / m)[spectrum] * rows[a_out] * m, n=m, out=u[n:])
                 u = u[ia]
                 u *= f[ib]
                 u *= f[ic]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field as dc_field, replace
 from types import MappingProxyType
 from typing import Callable, Sequence
@@ -150,14 +151,16 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     d: (ik)^m, m = sigma a nonnegative integer.
     """
     if kind == "D":
-        w = _d_weights(f.n, float(sigma))
+        with np.errstate(**_QUIET):
+            w = _d_weights(f.n, float(sigma))
+        if not np.isfinite(w).all():
+            raise ValueError(f"sigma = {sigma:g} overflows |k|^sigma on a grid of {f.n} points")
     elif kind == "J":
         w = _sobolev_weights(f.n, float(sigma) / 2.0) + 0j
     elif kind == "d":
-        m = int(sigma)
-        if m < 0 or m != sigma:
+        if not (float(sigma).is_integer() and sigma >= 0):
             raise ValueError("derivative order must be a nonnegative integer")
-        w = _d_rows((m,), f.n // 2 + 1)[0]
+        w = _d_rows((int(sigma),), f.n // 2 + 1)[0]
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}")
     return f.with_modes(f.modes * w)
@@ -195,15 +198,26 @@ def l2_inner(f: SpectralField, g: SpectralField) -> float:
     return TAU * float(prod[0].real + 2.0 * np.sum(prod[1:].real))
 
 
-# bounded: E^s and dE^s/dt for l = 2..5 on N = 128 and 512 fields use 88 keys (1.71 MB)
-@functools.lru_cache(maxsize=128)
+# (ik)^q for k = 0..W-1 by order q, read-only, W the widest take asked so far:
+# mode k's value does not depend on W, so a narrower ask is a bit-identical prefix
+_D_ROWS: dict[int, np.ndarray] = {}
+_D_ROWS_LOCK = threading.Lock()
+
+
 def _d_rows(orders: tuple[int, ...], take: int) -> np.ndarray:
-    """(ik)^q for k = 0..take-1, one row per order q; cached, read-only."""
-    ik = 1j * np.arange(take, dtype=np.float64)
-    # an int scalar q takes NumPy's fast paths for q <= 2
-    rows = np.array([ik**q for q in orders])
-    rows.setflags(write=False)
-    return rows
+    """(ik)^q for k = 0..take-1, one row per order q, in a new array; a non-finite row raises."""
+    rows = []
+    for q in orders:
+        if len(row := _D_ROWS.get(q, ())) < take:
+            with np.errstate(**_QUIET):
+                row = (1j * np.arange(take, dtype=np.float64)) ** q  # an int q: NumPy's fast paths for q <= 2
+            if not np.isfinite(row).all():
+                raise ValueError(f"q = {q} overflows (ik)^q for k < {take}")
+            row.setflags(write=False)
+            with _D_ROWS_LOCK:  # widened, never narrowed; this call keeps the row it built
+                _D_ROWS[q] = max(_D_ROWS.get(q, row), row, key=len)
+        rows.append(row[:take])
+    return np.array(rows)
 
 
 def _kept_band(n: int, dealias: float) -> int:

@@ -1,5 +1,6 @@
-"""scripts/bench.py: the schema of a BENCH_<TAG>.json file."""
+"""scripts/bench.py: the schema of a BENCH_<TAG>.json file, and what the benchmark's metrics assume of src/."""
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -51,3 +52,23 @@ def test_bench_refuses_a_tag_that_is_not_a_file_name(tmp_path, capsys):
     assert stop.value.code == 2
     assert "--tag" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _nested_imports(source: str) -> set[int]:
+    """The line of every import statement inside a function or lambda of source."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return {
+        inner.lineno
+        for node in ast.walk(ast.parse(source)) if isinstance(node, functions)
+        for inner in ast.walk(node) if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+
+
+def test_no_module_in_src_imports_inside_a_function():
+    # the benchmark runs each kdvlab exp pass in a fresh interpreter without
+    # bytecode files: an import inside a function would move its import and
+    # compile cost out of setup_s and into pass_cal_ratio and peak_rss_mib
+    assert _nested_imports("import math\ndef f():\n    from os import path\ng = lambda: __import__('os')\n") == {3}
+    modules = sorted((ROOT / "src" / "kdvlab").glob("*.py"))
+    assert len(modules) >= 10
+    assert {path.name: lines for path in modules if (lines := _nested_imports(path.read_text()))} == {}

@@ -6,6 +6,7 @@ variational oracle and the rank audit passed; the invariant tests below
 re-certify on every run, so the golden file is a pure change detector.
 """
 
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from kdvlab import hierarchy
-from kdvlab.diffpoly import euler_operator, mono, rank_of, sym, total_derivative
+from kdvlab.diffpoly import IntegralExpr, euler_operator, is_exact, mono, rank_of, sym, total_derivative
 
 GOLDEN = Path(__file__).parent / "golden" / "hierarchy_l8.json"
 
@@ -150,6 +151,64 @@ def test_soliton_profile_is_a_travelling_wave_of_every_flow():
         # one coefficient off (the u^(l+1) term doubled) breaks it: the check has teeth
         top = g.monomials[-1]
         assert _on_soliton_profile(g + mono(top.coeff, list(top.factors))) != value, l
+
+
+@functools.cache
+def _gardner_densities(n: int) -> tuple:
+    """w_0..w_n of the Gardner transform (Miura, Gardner & Kruskal, J. Math. Phys. 9, 1968).
+
+    kdvlab's u_t = u_xxx + u u_x is v_t - 6 v v_x + v_xxx = 0 for v = -u/6, up
+    to time reversal, which keeps every conserved density.  v = w + eps w_x +
+    eps^2 w^2 with w = sum_n eps^n w_n gives w_0 = v and w_n = -d w_{n-1} -
+    sum_{i+j=n-2} w_i w_j: DiffPoly operations alone, nothing of the Lenard
+    recursion or the antiderivative it takes.
+    """
+    w = [mono(Fraction(-1, 6)) * u]
+    for k in range(1, n + 1):
+        w_k = -total_derivative(w[-1])
+        for i in range(k - 1):
+            w_k = w_k - w[i] * w[k - 2 - i]
+        w.append(w_k)
+    return tuple(w)
+
+
+# every level that the golden file freezes; -1/18 is one constant for all of them
+_GARDNER_LEVELS = range(9)
+_GARDNER = mono(Fraction(-1, 18))
+
+
+def test_even_gardner_densities_are_the_hierarchy_gradients():
+    w = _gardner_densities(2 * _GARDNER_LEVELS[-1] + 2)
+    for l in _GARDNER_LEVELS:
+        assert euler_operator(w[2 * l + 2]) == _GARDNER * hierarchy.level(l).g, l
+
+
+def test_odd_gardner_densities_are_exact():
+    w = _gardner_densities(2 * _GARDNER_LEVELS[-1] + 2)
+    for n in range(1, len(w), 2):
+        assert is_exact(w[n]), n
+
+
+def test_even_gardner_densities_integrate_to_the_hamiltonians():
+    # the homotopy Hamiltonians and the IBP normal form, certified by a second route
+    w = _gardner_densities(2 * _GARDNER_LEVELS[-1] + 2)
+    for l in _GARDNER_LEVELS:
+        assert IntegralExpr(w[2 * l + 2]) == IntegralExpr(_GARDNER * hierarchy.level(l).hamiltonian.integrand), l
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_the_gardner_identity_sees_one_coefficient_of_each_degree(l):
+    # hier3's cubic and quartic coefficients and all of hier4's are below what
+    # the Hill drift can see; a 1% change in one coefficient of each degree of
+    # G_l breaks the identity
+    g = hierarchy.level(l).g
+    gradient = euler_operator(_gardner_densities(2 * l + 2)[2 * l + 2])
+    assert gradient == _GARDNER * g
+    degrees = sorted({m.degree for m in g})
+    assert degrees == list(range(1, l + 2))
+    for d in degrees:
+        m = next(m for m in g if m.degree == d)
+        assert gradient != _GARDNER * (g + mono(m.coeff / 100, list(m.factors))), (l, m)
 
 
 def test_hamiltonian_gradient_recovers_integrand():

@@ -401,6 +401,9 @@ EXP_REFUSALS = [
         ("bona-smith", "s = nan"), ("bona-smith", "s = inf"), ("bona-smith", "s = 400"),
         ("conservation", "t_final = 0"), ("mu-cauchy", "t_final = 0"), ("energy-drift", "t_final = 0"),
         ("scaling", "t_final = 0"), ("scaling", "dt = 0"),
+        # t_final / dt = 1e-9 rounds to no step
+        ("conservation", "t_final = 1e-12"), ("mu-cauchy", "t_final = 1e-12"), ("energy-drift", "t_final = 1e-12"),
+        ("scaling", "t_final = 1e-12"),
         # t_final / dt overflows
         ("conservation", "dt = 1e-320"), ("mu-cauchy", "dt = 1e-320"), ("energy-drift", "dt = 1e-320"),
         ("scaling", "dt = 1e-320"),

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from kdvlab import spectral
+from kdvlab import modenergy, spectral
 from kdvlab.diffpoly import DiffPoly, mono, sym
 from kdvlab.hierarchy import level
 from kdvlab.spectral import (
@@ -133,6 +133,99 @@ def test_mollifier_window_values_and_band_behavior():
     diff = sobolev_norm(SpectralField(n, c.modes - mollify(c, 0.01, m).modes), 0.0)
     expected = -math.expm1(-((2 * 0.01) ** (2 * m))) * math.sqrt(math.pi)
     assert abs(diff - expected) < 1e-6 * expected
+
+
+# ---------------------------------------------------------------------------
+# the derivative rows (ik)^q: one stored row per order, as wide as its widest ask
+# ---------------------------------------------------------------------------
+
+
+def _energy_calls():
+    """E^s and dE^s/dt as the energy benchmark takes them: l = 2..5 at s = 4l - 4,
+    N = 128 and 512, a smooth and a rough field on the band N/3 - 1."""
+    for l in (2, 3, 4, 5):
+        bp, s = modenergy.build_energy(l), 4 * l - 4
+        for n in (128, 512):
+            for decay in (s + 2.0, 5.0):
+                u = random_decay_field(n, decay=decay, seed=l * n, amplitude=0.1, kmax=n // 3 - 1)
+                modenergy.evaluate_energy(bp, s, u)
+                modenergy.energy_time_derivative(bp, s, u)
+
+
+def _asked_rows(monkeypatch) -> set:
+    """Every (orders, take) asked of _d_rows by the energy plans, the stepping flows' plans
+    (hier1..4 at N = 256, hier3 at 1024, model2 at 128) and a solve's H0..H2 records."""
+    asks, served = set(), spectral._d_rows
+
+    def ask(orders, take):
+        asks.add((tuple(orders), take))
+        return served(orders, take)
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_d_rows", ask)
+        m.setattr(modenergy, "_d_rows", ask)
+        _energy_calls()
+        flows = [(hierarchy_flow(l), 256) for l in (1, 2, 3, 4)] + [(hierarchy_flow(3), 1024), (model_flow(2), 128)]
+        for flow, n in flows:
+            _PolyPlan(flow.nonlinear, n, 2.0 / 3.0)
+        u = random_decay_field(256, decay=5.0, seed=2, amplitude=0.1, kmax=8)
+        solve(u, hierarchy_flow(1), SolverConfig(n=256, dt=1e-3, t_final=2e-3))
+    return asks
+
+
+def _powers(orders, take) -> np.ndarray:
+    return np.array([(1j * np.arange(take)) ** q for q in orders])
+
+
+def test_every_row_served_is_the_power_it_names(monkeypatch):
+    asks = _asked_rows(monkeypatch)
+    assert len(asks) > 20
+    # narrow then wide: each ask widens its rows; wide then narrow: each slices them
+    for wide_first in (False, True):
+        monkeypatch.setattr(spectral, "_D_ROWS", {})
+        for orders, take in sorted(asks, key=lambda ask: (ask[1], ask[0]), reverse=wide_first):
+            got, want = spectral._d_rows(orders, take), _powers(orders, take)
+            # as integers, so that a -0.0 for a 0.0 fails too
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rows_widened_by_racing_threads_keep_their_bits(monkeypatch):
+    takes = [3, 700, 40, 129, 1025, 2, 64, 513, 257, 900, 17, 1024]
+
+    def ask(take):
+        return spectral._d_rows((5,), take)
+
+    serial = [_powers((5,), take) for take in takes]
+    monkeypatch.setattr(spectral, "_D_ROWS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(ask, takes * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(threaded, serial * 8):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert list(spectral._D_ROWS) == [5] and len(spectral._D_ROWS[5]) == max(takes)
+
+
+def test_the_energy_benchmark_rows_take_under_160_kib(monkeypatch):
+    # one row per order 0..15, at most 678 modes wide (150,608 bytes); a cache keyed by
+    # (orders, take) held 88 stacks in 1.71 MB for the same calls
+    monkeypatch.setattr(spectral, "_D_ROWS", {})
+    _energy_calls()
+    rows = spectral._D_ROWS
+    assert sorted(rows) == list(range(16))
+    assert sum(row.nbytes for row in rows.values()) <= 160 * 1024
+
+
+def test_a_lone_high_order_stores_only_the_rows_it_asks(monkeypatch):
+    monkeypatch.setattr(spectral, "_D_ROWS", {})
+    plan = _PolyPlan(model_flow(60).nonlinear, 256, 2.0 / 3.0)
+    assert {q: len(row) for q, row in spectral._D_ROWS.items()} == {0: plan.take + 1, 119: plan.take + 1}
+    monkeypatch.setattr(spectral, "_D_ROWS", {})
+    multiplier(_F64, "d", 119)
+    assert {q: len(row) for q, row in spectral._D_ROWS.items()} == {119: 33}
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +458,7 @@ def test_config_rejects_bad_hamiltonians(hams):
         SolverConfig(hamiltonians=hams)
 
 
-_F8, _F16 = cosine_field(8, 1), cosine_field(16, 1)
+_F8, _F16, _F64 = cosine_field(8, 1), cosine_field(16, 1), cosine_field(64, 1)
 
 
 @pytest.mark.parametrize(
@@ -379,6 +472,11 @@ _F8, _F16 = cosine_field(8, 1), cosine_field(16, 1)
         (lambda: multiplier(_F8, "x"), "unknown multiplier kind 'x'"),
         (lambda: multiplier(_F8, "d", 1.5), "derivative order must be a nonnegative integer"),
         (lambda: multiplier(_F8, "d", -1), "derivative order must be a nonnegative integer"),
+        (lambda: multiplier(_F8, "d", math.inf), "derivative order must be a nonnegative integer"),
+        (lambda: multiplier(_F8, "d", math.nan), "derivative order must be a nonnegative integer"),
+        # 32^400 and the (ik)^400 of every mode above it overflow, as (1 + k^2)^200 does for "J"
+        (lambda: multiplier(_F64, "d", 400), "q = 400 overflows (ik)^q for k < 33"),
+        (lambda: multiplier(_F64, "D", 400.0), "sigma = 400 overflows |k|^sigma on a grid of 64 points"),
         (lambda: mollify(_F8, 0.0), "need eps > 0 and m >= 1"),
         (lambda: mollify(_F8, 0.1, 0), "need eps > 0 and m >= 1"),
         (lambda: scale_field(_F8, 0), "scaling factor must be a positive integer"),
