@@ -35,10 +35,8 @@ __all__ = [
     "integrate_exact",
     "split_exact",
     "ibp_normal_form",
-    "rank_of",
     "homotopy_hamiltonian",
     "poly_to_obj",
-    "poly_from_obj",
     "latex_poly",
 ]
 
@@ -333,11 +331,6 @@ class IntegralExpr:
         return f"Int[{self.canonical!r}]"
 
 
-def rank_of(m: DiffMonomial) -> Fraction:
-    """Scaling rank: degree + weight/2 (a half-integer)."""
-    return Fraction(m.degree) + Fraction(m.weight, 2)
-
-
 def homotopy_hamiltonian(g: DiffPoly, symbol: str = "u") -> IntegralExpr:
     """Hamiltonian H with variational gradient g, via the line homotopy.
 
@@ -361,13 +354,6 @@ def poly_to_obj(p: DiffPoly) -> list:
         {"coeff": str(m.coeff), "factors": [[s, k] for s, k in m.factors]}
         for m in p
     ]
-
-
-def poly_from_obj(obj: Iterable[Mapping]) -> DiffPoly:
-    return DiffPoly(
-        DiffMonomial(Fraction(d["coeff"]), tuple((s, int(k)) for s, k in d["factors"]))
-        for d in obj
-    )
 
 
 def _latex_coeff(c: Fraction, first: bool) -> str:

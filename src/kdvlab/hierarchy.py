@@ -21,7 +21,6 @@ from .diffpoly import (
     ibp_normal_form,
     integrate_exact,
     mono,
-    poly_from_obj,
     poly_to_obj,
     sym,
     total_derivative,
@@ -29,18 +28,11 @@ from .diffpoly import (
 
 __all__ = [
     "HierarchyLevel",
-    "RankViolation",
     "lenard_step",
     "generate",
-    "classify",
     "involution_residue",
     "level_to_obj",
-    "level_from_obj",
 ]
-
-
-class RankViolation(ValueError):
-    """Raised when a hierarchy level breaks the degree/weight bookkeeping."""
 
 
 @dataclass(frozen=True)
@@ -103,28 +95,6 @@ def level(l: int) -> HierarchyLevel:
     return generate(l)[l]
 
 
-def classify(h: HierarchyLevel) -> dict[int, dict]:
-    """Audit the rhs monomials by degree.
-
-    Every degree-k group must carry total derivative weight 2(l-k)+3, so
-    rank (degree + weight/2) l + 3/2; a violation raises RankViolation.
-    Returns the table {degree: {"weight": w, "rank": r, "monomials": [...]}}.
-    """
-    want_rank = Fraction(h.l) + Fraction(3, 2)
-    table: dict[int, dict] = {}
-    for m in h.rhs:
-        k = m.degree
-        want_weight = 2 * (h.l - k) + 3
-        if m.weight != want_weight:
-            raise RankViolation(
-                f"level {h.l}: degree-{k} monomial {m!r} has weight {m.weight}, "
-                f"expected {want_weight}"
-            )
-        entry = table.setdefault(k, {"weight": want_weight, "rank": want_rank, "monomials": []})
-        entry["monomials"].append((str(m.coeff), [[s, o] for s, o in m.factors]))
-    return table
-
-
 def involution_residue(m: int, l: int) -> DiffPoly:
     """Normal form of the integrand grad H_m * (d/dx G_l); zero iff in involution."""
     levels = generate(max(m, l))
@@ -140,7 +110,3 @@ def level_to_obj(h: HierarchyLevel) -> dict:
         "hamiltonian": poly_to_obj(h.hamiltonian.canonical),
     }
 
-
-def level_from_obj(obj: dict) -> HierarchyLevel:
-    g = poly_from_obj(obj["g"])
-    return _build_level(int(obj["l"]), g)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .diffpoly import DiffPoly, IntegralExpr, is_exact, sym
+from .diffpoly import DiffPoly, is_exact, sym
 
-__all__ = ["AlphaTable", "IbpIdentity", "alpha_coeffs", "reduce_integral", "verify_identity"]
+__all__ = ["AlphaTable", "alpha_coeffs", "verify_identity"]
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,6 @@ def _identity_sides(l: int) -> tuple[DiffPoly, DiffPoly]:
     for j in range(1, l + 1):
         rhs = rhs + table[j] * (sym("w", 2 * (l - j) + 1) * sym("f", j) * sym("g", j))
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class IbpIdentity:
-    """I_{2l+1}(w,f,g) = sum_j alpha_{j,l} int d^{2(l-j)+1}w d^j f d^j g."""
-
-    l: int
-    alphas: AlphaTable
-    lhs: IntegralExpr
-    rhs: IntegralExpr
-
-    @property
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def reduce_integral(l: int) -> IbpIdentity:
-    """The order-(2l+1) identity with both sides as canonical integrals."""
-    lhs, rhs = _identity_sides(l)
-    return IbpIdentity(l=l, alphas=alpha_coeffs(l), lhs=IntegralExpr(lhs), rhs=IntegralExpr(rhs))
 
 
 def verify_identity(l: int) -> bool:

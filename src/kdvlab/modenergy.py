@@ -60,8 +60,6 @@ __all__ = [
     "Correction",
     "StageReport",
     "EnergyBlueprint",
-    "reduce_triple",
-    "quadratic_derivative",
     "build_energy",
     "regularity_threshold",
     "evaluate_energy",
@@ -260,18 +258,6 @@ def _reduce_pair(pt: PTerm) -> list[PTerm]:
     return out
 
 
-def reduce_triple(t: PTerm) -> list[PTerm]:
-    """Exact rewrite of a D-pair term as normalized squares.
-
-    Returns the squares merged and sorted deterministically; the
-    resonant/bounded split is read off each term's flags.  The rewrite is
-    driven by the gap c - b.
-    """
-    if t.off % 2:
-        raise OddOffset(f"odd D-offset {t.off}")
-    return _merge(_reduce_pair(t))
-
-
 def _reduce_classify(pairs) -> tuple[list[PTerm], list[PTerm]]:
     """Reduce pair terms to merged normalized squares: (bounded, resonant)."""
     bounded: list[PTerm] = []
@@ -297,19 +283,6 @@ def _quadratic_expansion(l: int) -> tuple[list, list[PTerm]]:
     """
     pairs, _, tails = _expand_nonlinear(PTerm(_ONE / 2, 0, (), 0, 0, 0), l)
     return [NormGapTerm(_ONE, l), *tails], pairs
-
-
-def quadratic_derivative(l: int) -> tuple[list, list[PTerm]]:
-    """Main terms of d/dt (1/2 |u|_{H^s}^2): (markers then bounded, resonant).
-
-    The quadratic expansion's pairs reduced to squares and classified;
-    resonant output carries the beta weights as polynomials in s.
-    """
-    if l < 2:
-        raise ValueError("model flow requires l >= 2")
-    markers, pairs = _quadratic_expansion(l)
-    bounded, resonant = _reduce_classify(pairs)
-    return markers + bounded, resonant
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "eval_diffpoly",
     "functional_eval",
     "hierarchy_flow",
-    "l2_inner",
     "model_flow",
     "mollify",
     "multiplier",
@@ -102,10 +101,6 @@ class SpectralField:
         return cls(v.size, np.fft.rfft(v) / v.size)
 
     @classmethod
-    def from_function(cls, f: Callable[[np.ndarray], np.ndarray], n: int) -> "SpectralField":
-        return cls.from_values(f(grid(n)))
-
-    @classmethod
     def zero(cls, n: int) -> "SpectralField":
         return cls(n, _zero_modes(n))
 
@@ -138,10 +133,6 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def grid(n: int) -> np.ndarray:
-    return TAU * np.arange(n) / n
-
-
 def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralField:
     """Fourier multiplier: kind in {"D", "J", "d"}.
 
@@ -154,7 +145,8 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
         with np.errstate(**_QUIET):
             w = _d_weights(f.n, float(sigma))
         if not np.isfinite(w).all():
-            raise ValueError(f"sigma = {sigma:g} overflows |k|^sigma on a grid of {f.n} points")
+            problem = "is not a number" if math.isnan(sigma) else f"overflows |k|^sigma on a grid of {f.n} points"
+            raise ValueError(f"sigma = {sigma:g} {problem}")
     elif kind == "J":
         w = _sobolev_weights(f.n, float(sigma) / 2.0) + 0j
     elif kind == "d":
@@ -166,7 +158,7 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     return f.with_modes(f.modes * w)
 
 
-# (1 + k^2)^s for k = 0..n/2, read-only; a non-finite table raises, the one overflow test of s.
+# (1 + k^2)^s for k = 0..n/2, read-only; a non-finite table raises, the one finiteness test of s.
 # Bounded: a solve's records, an energy plan's norm gap, a J multiplier and _raw_rate use one key per (n, s)
 @functools.lru_cache(maxsize=64)
 def _sobolev_weights(n: int, s: float) -> np.ndarray:
@@ -175,7 +167,8 @@ def _sobolev_weights(n: int, s: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         w = (1.0 + np.arange(n // 2 + 1, dtype=np.float64) ** 2) ** s
     if not np.isfinite(w).all():
-        raise ValueError(f"s = {s:g} overflows (1 + k^2)^s on a grid of {n} points")
+        problem = "is not a number" if math.isnan(s) else f"overflows (1 + k^2)^s on a grid of {n} points"
+        raise ValueError(f"s = {s:g} {problem}")
     w.setflags(write=False)
     return w
 
@@ -189,13 +182,6 @@ def _sobolev_norms(modes: np.ndarray, s: float) -> np.ndarray:
     w = _sobolev_weights(2 * modes.shape[-1] - 2, float(s))
     a2 = np.abs(modes) ** 2
     return np.sqrt(TAU * (w[0] * a2[..., 0] + 2.0 * np.add.reduce(w[1:] * a2[..., 1:], axis=-1)))
-
-
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    if f.n != g.n:
-        raise ValueError("grid mismatch")
-    prod = f.modes * np.conj(g.modes)
-    return TAU * float(prod[0].real + 2.0 * np.sum(prod[1:].real))
 
 
 # (ik)^q for k = 0..W-1 by order q, read-only, W the widest take asked so far:

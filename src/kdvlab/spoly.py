@@ -130,10 +130,6 @@ class SPoly:
     def to_obj(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @staticmethod
-    def from_obj(obj) -> "SPoly":
-        return SPoly(obj)
-
 
 @lru_cache(maxsize=None)
 def binom_s(offset: int, j: int) -> SPoly:

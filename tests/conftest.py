@@ -1,8 +1,11 @@
 """Fixtures shared by the test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from kdvlab.diffpoly import DiffMonomial, DiffPoly
 from kdvlab.modenergy import build_energy
 
 
@@ -23,6 +26,14 @@ def blueprints():
     cache, which the results do not depend on.
     """
     return _Blueprints()
+
+
+@pytest.fixture(scope="session")
+def read_poly():
+    """The reader of diffpoly.poly_to_obj's form [{"coeff": "p/q", "factors": [[symbol, order], ...]}]."""
+    def read(obj):
+        return DiffPoly(DiffMonomial(Fraction(d["coeff"]), tuple(map(tuple, d["factors"]))) for d in obj)
+    return read
 
 
 class _Transforms(list):

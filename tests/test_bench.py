@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,47 @@ def test_no_module_in_src_imports_inside_a_function():
     modules = sorted((ROOT / "src" / "kdvlab").glob("*.py"))
     assert len(modules) >= 10
     assert {path.name: lines for path in modules if (lines := _nested_imports(path.read_text()))} == {}
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is used in node, as a name or an attribute: strings, comments and imports do not count."""
+    return Counter(
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for inner in ast.walk(node) if isinstance(inner, (ast.Name, ast.Attribute))
+    )
+
+
+def _unreferenced(modules: list[str], callers: list[str]) -> list[str]:
+    """Top-level functions and classes of modules used nowhere but in their own definition or another such name's."""
+    trees = [ast.parse(source) for source in modules + callers]
+    refs = sum(map(_references, trees), Counter())
+    defs = [
+        node for tree in trees[: len(modules)] for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    dead = []
+    while found := [d for d in defs if d not in dead and refs[d.name] == _references(d)[d.name]]:
+        for d in found:
+            refs -= _references(d)
+        dead += found
+    return sorted(d.name for d in dead)
+
+
+# the names in src/kdvlab that only tests call, each with the reason it is kept
+_KEPT_FOR_TESTS = {
+    "multiplier": "the README documents it as API, and its refusal cases are tier-1's only path "
+    "to _d_rows' row-finiteness check",
+}
+
+
+def test_every_top_level_name_in_src_is_used_outside_the_tests():
+    # src/ holds what a run, a command, the benchmark or a script calls: a
+    # function or class that only tests call is deleted, and its behaviour is
+    # tested through the names that src/ keeps
+    toy = "def f():\n    return g('h')\n\n\ndef g():\n    return g()\n\n\ndef h():\n    pass\n"
+    assert _unreferenced([toy], ["h()  # f\n"]) == ["f", "g"]
+
+    def sources(folder: str) -> list[str]:
+        return [path.read_text() for path in sorted((ROOT / folder).glob("*.py"))]
+
+    assert _unreferenced(sources("src/kdvlab"), sources("perfbench") + sources("scripts")) == sorted(_KEPT_FOR_TESTS)

@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kdvlab.ibpcalc import alpha_coeffs, reduce_integral, verify_identity
+from kdvlab.diffpoly import IntegralExpr
+from kdvlab.ibpcalc import _identity_sides, alpha_coeffs, verify_identity
 
 FROZEN = {
     1: [3],
@@ -61,9 +62,8 @@ def test_identity_certified_by_variational_oracle():
 
 def test_reduce_integral_sides_match_canonically():
     for l in (1, 2, 3):
-        ident = reduce_integral(l)
-        assert ident.holds
-        assert ident.alphas.alphas == alpha_coeffs(l).alphas
+        lhs, rhs = _identity_sides(l)
+        assert IntegralExpr(lhs) == IntegralExpr(rhs), l
 
 
 def _quad(fields: dict[str, np.ndarray], terms) -> float:

@@ -30,8 +30,6 @@ from kdvlab.modenergy import (
     energy_time_derivative,
     evaluate_energy,
     pterm,
-    quadratic_derivative,
-    reduce_triple,
     regularity_threshold,
 )
 from kdvlab.spectral import (
@@ -52,6 +50,18 @@ def _terms(lst):
     return [(str(t.coeff), t.a_out, t.off, t.b) for t in lst]
 
 
+def _reduce_triple(t):
+    """The exact rewrite of a D-pair term as normalized squares, merged and sorted."""
+    return modenergy._merge(modenergy._reduce_pair(t))
+
+
+def _quadratic_derivative(l):
+    """Main terms of d/dt (1/2 |u|_{H^s}^2): (markers then bounded, resonant), the cascade's first stage."""
+    markers, pairs = modenergy._quadratic_expansion(l)
+    bounded, resonant = modenergy._reduce_classify(pairs)
+    return markers + bounded, resonant
+
+
 # ---------------------------------------------------------------------------
 # triple reduction
 # ---------------------------------------------------------------------------
@@ -60,25 +70,25 @@ def _terms(lst):
 def test_reduce_triple_hand_anchors_l2():
     # int u (D^s d^3 u)(D^s u): moving 3 odd derivatives across the square
     # leaves (3/2) int du (D^s du)^2 - (1/2) int d^3u (D^s u)^2
-    out = reduce_triple(pterm(ONE, 0, (0,), 0, 0, 3))
+    out = _reduce_triple(pterm(ONE, 0, (0,), 0, 0, 3))
     assert _terms(out) == [("3/2", 1, 0, 1), ("-1/2", 3, 0, 0)]
 
     # int du (D^s du)(D^s d^2 u) with weight binom(s,1) = s
-    out = reduce_triple(pterm(binom_s(0, 1), 1, (0,), 0, 0, 2))
+    out = _reduce_triple(pterm(binom_s(0, 1), 1, (0,), 0, 0, 2))
     assert _terms(out) == [("-1*s", 1, 0, 1), ("1/2*s", 3, 0, 0)]
 
     # int d^2u (D^s du)^2-type with weight binom(s,2): gap already even
-    out = reduce_triple(pterm(binom_s(0, 2), 2, (0,), 0, 0, 1))
+    out = _reduce_triple(pterm(binom_s(0, 2), 2, (0,), 0, 0, 1))
     assert _terms(out) == [("1/4*s + -1/4*s^2", 3, 0, 0)]
 
 
 def test_reduce_triple_rejects_odd_offset():
     with pytest.raises(OddOffset):
-        reduce_triple(pterm(ONE, 0, (0,), 1, 0, 3))
+        _reduce_triple(pterm(ONE, 0, (0,), 1, 0, 3))
 
 
 def test_reduce_triple_zero_coeff_short_circuits():
-    assert reduce_triple(pterm(SPoly(), 0, (0,), 0, 0, 3)) == []
+    assert _reduce_triple(pterm(SPoly(), 0, (0,), 0, 0, 3)) == []
 
 
 def test_reduce_triple_numeric_identity():
@@ -103,7 +113,7 @@ def test_reduce_triple_numeric_identity():
 
     for a, b, c in [(0, 0, 3), (1, 0, 2), (2, 0, 1)]:
         lhs = tau * float(np.mean(dval(a, 0) * dval(b, s) * dval(c, s)))
-        rhs = sum(t.evaluate(u, s) for t in reduce_triple(pterm(ONE, a, (0,), 0, b, c)))
+        rhs = sum(t.evaluate(u, s) for t in _reduce_triple(pterm(ONE, a, (0,), 0, b, c)))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -113,7 +123,7 @@ def test_reduce_triple_numeric_identity():
 
 
 def test_quadratic_derivative_l2_resonant():
-    bounded, resonant = quadratic_derivative(2)
+    bounded, resonant = _quadratic_derivative(2)
     # the single resonant coefficient is 3/2 - s at int du (D^s du)^2
     assert _terms(resonant) == [("3/2 + -1*s", 1, 0, 1)]
     kinds = sorted(type(t).__name__ for t in bounded)
@@ -122,7 +132,7 @@ def test_quadratic_derivative_l2_resonant():
 
 
 def test_quadratic_derivative_l2_bounded_coefficient():
-    bounded, _ = quadratic_derivative(2)
+    bounded, _ = _quadratic_derivative(2)
     sob = [t for t in bounded if isinstance(t, PTerm)]
     agg = {}
     for t in sob:
@@ -133,7 +143,7 @@ def test_quadratic_derivative_l2_bounded_coefficient():
 
 
 def test_resonance_flags():
-    bounded, resonant = quadratic_derivative(2)
+    bounded, resonant = _quadratic_derivative(2)
     assert all(t.is_resonant for t in resonant)
     assert all(not getattr(t, "is_resonant", False) for t in bounded)
 
@@ -164,7 +174,7 @@ def test_cancellation_l2_closed_form():
     # gamma solves (3/2 - s) + gamma * (d/ds-free) diagonal 5/(2s-3)...:
     # beta_1 + gamma * 5 must vanish identically in s
     bp = build_energy(2, 3)
-    _, resonant = quadratic_derivative(2)
+    _, resonant = _quadratic_derivative(2)
     beta = resonant[0].coeff
     gamma = bp.corrections[0].gamma
     assert (beta + gamma * SPoly.const(5)).is_zero()
@@ -240,7 +250,7 @@ _BLUEPRINT_SHA = {
     ),
 }
 
-# sha256 of repr(quadratic_derivative(l))
+# sha256 of repr(_quadratic_derivative(l))
 _QUADRATIC_SHA = {
     2: "1d7ca7a56b433aba96a24bd992d4b7c2b7c733e294842ca3c5aac6ba3e39ea55",
     3: "2bbbd3001f8458aadb5107ec9feaa11a3cde47b63c3e7adf60893366a8528efc",
@@ -272,7 +282,7 @@ def test_cascade_output_is_pinned(blueprints):
         assert _sha(json.dumps(bp.to_obj(), sort_keys=True)) == obj_sha, l
         assert _sha(repr(bp.bounded_remainder + bp.markers)) == items_sha, l
     for l, sha in _QUADRATIC_SHA.items():
-        assert _sha(repr(quadratic_derivative(l))) == sha, l
+        assert _sha(repr(_quadratic_derivative(l))) == sha, l
     for (l, stage), sha in _EARLY_STOP_SHA.items():
         bp = build_energy(l, stage)
         text = json.dumps(bp.to_obj(), sort_keys=True) + repr(bp.bounded_remainder + bp.markers + bp.pending)
@@ -312,7 +322,6 @@ def test_pterm_factory_normalization():
     [
         (lambda: build_energy(1), "model flow requires l >= 2"),
         (lambda: build_energy(2, max_stage=4), "stage must be in 3..3"),
-        (lambda: quadratic_derivative(1), "model flow requires l >= 2"),
     ],
 )
 def test_bad_levels_and_stages_are_refused_with_their_message(call, message):

@@ -69,7 +69,7 @@ def test_a_negative_binomial_order_is_refused():
 
 def test_roundtrip_serialization():
     p = SPoly([Fraction(-3, 10), Fraction(1, 5)])
-    q = SPoly.from_obj(p.to_obj())
+    q = SPoly(p.to_obj())
     assert p == q
 
 
@@ -139,7 +139,7 @@ def test_storage_is_normalized_so_eq_and_hash_agree(a, b, c):
 def test_obj_roundtrip(a):
     p = SPoly(a)
     assert p.to_obj() == [str(c) for c in _ref(a)]
-    q = SPoly.from_obj(p.to_obj())
+    q = SPoly(p.to_obj())
     assert q == p and hash(q) == hash(p)
 
 
