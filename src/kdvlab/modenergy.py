@@ -591,7 +591,7 @@ class _GridPlan:
             _, first, second, sigmas, taylor = zip(*reversed(cores.values()))
             # term j of every Taylor sum, the shorter sums padded with 0 * 1 * 1
             w, low, high = np.array([tj + [(0.0, 0, 0)] * (max(map(len, taylor)) - len(tj)) for tj in taylor]).T
-            symbols = np.array([_d_weights(m, sigma) for sigma in sigmas])
+            symbols = np.array([_d_weights.__wrapped__(m, sigma) for sigma in sigmas])  # read once: not cached
             self.cores = (_ix(first), _ix(second), symbols, w[..., None], low.astype(np.intp), high.astype(np.intp))
 
         # the outer derivatives' orders follow the factors' in orders
@@ -608,12 +608,21 @@ class _GridPlan:
             derivs = [(g, a) for g in gs for a in sorted(groups[g][1])]
             with_d = [g for g in gs if groups[g][1]]
             urow = {d: r for r, d in enumerate([(g, 0) for g in gs] + derivs)}
-            # factor j of every bundle, the shorter bundles padded with ones
-            factor_rows = _ix([[groups[g][0][j] if j < len(g) else 0 for g in gs] for j in range(max(map(len, gs)))])
+            # factor j of every bundle, the shorter bundles padded with ones (a bundle with no factor is one)
+            factor_rows = _ix([[groups[g][0][j] if j < len(g) else 0 for g in gs] for j in range(max(1, *map(len, gs)))])
             layout = (len(gs), factor_rows, _ix([gs.index(g) for g in with_d]),
                       _ix([with_d.index(g) for g, _ in derivs]), _ix([orders[a] for _, a in derivs]))
             rows = [(i, urow[(g, a)], b, c) for i, g, a, b, c in members if g in gs]
             self.blocks.append((layout, _ix(list(zip(*rows)))))
+
+
+def _times_symbol(spectrum: np.ndarray, symbol: np.ndarray, m: int, pick=slice(None)) -> np.ndarray:
+    """(spectrum / m)[pick] * symbol * m in place, for an m-grid rfft's spectrum and its symbol."""
+    spectrum /= m
+    spectrum = spectrum[pick]
+    spectrum *= symbol
+    spectrum *= m
+    return spectrum
 
 
 class _EnergyPlan:
@@ -670,29 +679,36 @@ class _EnergyPlan:
                     d_modes[sigma] = modes * gap
                 elif sigma not in d_modes:
                     d_modes[sigma] = modes * _d_weights(fieldval.n, sigma)
-                spectra[at, :take] = d_modes[sigma][:take] * rows[q, :take] * m
+                spectrum = rows[q, :take]
+                spectra[at, :take] = np.multiply(d_modes[sigma][:take], spectrum, out=spectrum)
+            spectra *= m
             np.fft.irfft(spectra, n=m, out=f[1 : 1 + g.n_factors])
-            del spectra  # as large as the factor rows: freed before the blocks run
+            del spectra, spectrum  # as large as the factor rows: freed before the blocks run
             if g.cores:
                 # each tail D^sigma(d^rho u d^high u) - sum_j w_j d^{rho+j}u D^sigma d^{high-j}u,
                 # formed in place in the last rows of F
                 first, second, symbols, w, low, high = g.cores
                 tails = slice(-len(symbols), None)
-                np.fft.irfft(np.fft.rfft(f[first] * f[second]) / m * symbols * m, n=m, out=f[tails])
+                np.fft.irfft(_times_symbol(np.fft.rfft(f[first] * f[second]), symbols, m), n=m, out=f[tails])
                 for j in range(len(w)):
-                    f[tails] -= w[j] * f[low[j]] * f[high[j]]
+                    product = w[j] * f[low[j]]
+                    product *= f[high[j]]
+                    f[tails] -= product
+                    del product
             for (n, factor_rows, with_d, spectrum, a_out), (items, ia, ib, ic) in g.blocks:
-                # the block's bundles: the plain products, then the outer derivatives;
-                # each item's row of them becomes its integrand, and the rest is freed
-                u = np.ones((n + len(a_out), m))
-                for fr in factor_rows:
+                # the block's bundles: plain products from each first factor (1 * x is x; "clip"
+                # spares the copy of out that "raise" makes), then the outer derivatives; each item's
+                # row of them becomes its integrand, averaged as ndarray.mean does but without its wrapper
+                u = np.empty((n + len(a_out), m))
+                np.take(f, factor_rows[0], axis=0, out=u[:n], mode="clip")
+                for fr in factor_rows[1:]:
                     u[:n] *= f[fr]
                 if len(a_out):
-                    np.fft.irfft((np.fft.rfft(u[with_d]) / m)[spectrum] * rows[a_out] * m, n=m, out=u[n:])
+                    np.fft.irfft(_times_symbol(np.fft.rfft(u[with_d]), rows[a_out], m, spectrum), n=m, out=u[n:])
                 u = u[ia]
                 u *= f[ib]
                 u *= f[ic]
-                out[items] = self.coefs[items] * u.mean(axis=1)
+                out[items] = self.coefs[items] * (np.add.reduce(u, axis=1) / m)
         return out.tolist()
 
     def total(self, fieldval: SpectralField, start: float) -> float:
@@ -707,12 +723,15 @@ class _EnergyPlan:
 _PLANS_KEPT = 8  # plans cached per blueprint, keyed (E or dE/dt, s, band)
 
 
-def _plan(bp: EnergyBlueprint, kind: str, items: tuple, s: float, band: int) -> _EnergyPlan:
-    """bp's plan for items, built on first use and kept while bp lists the same items.
+def _plan(bp: EnergyBlueprint, kind: str, items: tuple, s: float, fieldval: SpectralField) -> _EnergyPlan:
+    """bp's plan for items on fieldval's band, built on first use and kept while bp lists the same items.
 
+    An s whose (1 + k^2)^s overflows on fieldval's grid is refused first, before any table is formed.
     Threads that miss together each build a plan and use their own; the cache
     keeps one of them.  It holds a few plans, so a scan over s stays small.
     """
+    _sobolev_weights(fieldval.n, s)
+    band = fieldval.band_limit()
     plan = bp._plans.get((kind, s, band))
     if plan is None or plan.items != items:
         if len(bp._plans) >= _PLANS_KEPT:
@@ -725,7 +744,7 @@ def evaluate_energy(bp: EnergyBlueprint, s, fieldval: SpectralField) -> float:
     """E^s(u) = 1/2 |u|_{H^s}^2 + sum gamma(s) * correction integrals."""
     _check_threshold(bp.l, s)
     sf = float(s)
-    plan = _plan(bp, "E", tuple(bp.corrections), sf, fieldval.band_limit())
+    plan = _plan(bp, "E", tuple(bp.corrections), sf, fieldval)
     return plan.total(fieldval, 0.5 * sobolev_norm(fieldval, sf) ** 2)
 
 
@@ -738,4 +757,4 @@ def energy_time_derivative(bp: EnergyBlueprint, s, fieldval: SpectralField) -> f
     """
     _check_threshold(bp.l, s)
     items = tuple(bp.bounded_remainder + bp.markers + bp.resonant_residue + bp.pending)
-    return _plan(bp, "dE", items, float(s), fieldval.band_limit()).total(fieldval, 0.0)
+    return _plan(bp, "dE", items, float(s), fieldval).total(fieldval, 0.0)

@@ -66,6 +66,12 @@ def _zero_modes(n: int) -> np.ndarray:
     return np.zeros(n // 2 + 1, dtype=np.complex128)
 
 
+def _band(modes: np.ndarray) -> int:
+    """A half-spectrum's band: its last mode that is != 0 (np.nonzero's test, so a NaN counts), or 0."""
+    nz = np.nonzero(modes)[0]
+    return int(nz[-1]) if nz.size else 0
+
+
 class BlowUp(RuntimeError):
     """A mode, or a recorded norm or Hamiltonian, became non-finite: instability
     or genuine blow-up."""
@@ -111,8 +117,7 @@ class SpectralField:
         return np.arange(self.n // 2 + 1, dtype=np.float64)
 
     def band_limit(self) -> int:
-        nz = np.nonzero(np.abs(self.modes) > 0.0)[0]
-        return int(nz[-1]) if nz.size else 0
+        return _band(self.modes)
 
     def with_modes(self, modes: np.ndarray) -> "SpectralField":
         return SpectralField(self.n, modes)
@@ -142,11 +147,7 @@ def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralF
     d: (ik)^m, m = sigma a nonnegative integer.
     """
     if kind == "D":
-        with np.errstate(**_QUIET):
-            w = _d_weights(f.n, float(sigma))
-        if not np.isfinite(w).all():
-            problem = "is not a number" if math.isnan(sigma) else f"overflows |k|^sigma on a grid of {f.n} points"
-            raise ValueError(f"sigma = {sigma:g} {problem}")
+        w = _d_weights(f.n, float(sigma))
     elif kind == "J":
         w = _sobolev_weights(f.n, float(sigma) / 2.0) + 0j
     elif kind == "d":
@@ -220,13 +221,19 @@ def _product_grid(degree: int, band: int) -> int:
     return m + (m % 2)
 
 
+# |k|^sigma for k = 0..n/2, read-only; a non-finite table raises, the one finiteness test of sigma.
+# Bounded: one key per (n, sigma) of an energy plan's factors on a field, or of a D multiplier
+@functools.lru_cache(maxsize=256)
 def _d_weights(n: int, sigma: float) -> np.ndarray:
     """|k|^sigma for k = 0..n/2, the k=0 value 0 for sigma != 0 (projection convention)."""
     k = np.arange(n // 2 + 1, dtype=np.float64)
-    if sigma == 0.0:
-        return np.ones_like(k)
-    w = np.zeros_like(k)
-    np.power(k, sigma, out=w, where=k > 0)
+    w = np.ones_like(k) if sigma == 0.0 else np.zeros_like(k)
+    with np.errstate(**_QUIET):
+        np.power(k, sigma, out=w, where=k > 0)
+    if not np.isfinite(w).all():
+        problem = "is not a number" if math.isnan(sigma) else f"overflows |k|^sigma on a grid of {n} points"
+        raise ValueError(f"sigma = {sigma:g} {problem}")
+    w.setflags(write=False)
     return w
 
 
@@ -423,12 +430,9 @@ def _record_values(rows: np.ndarray, polys: Sequence[_Monomials]) -> np.ndarray:
     rows[:, 0] = rows[:, 0].real
     out = np.empty((len(rows), 1 + len(polys)))
     out[:, 0] = _sobolev_norms(rows, 0.0)
-    # each row's band, as band_limit finds it: its last nonzero mode, or 0
-    nonzero = np.abs(rows) > 0.0
-    nonzero[:, 0] = True
     groups: dict[int, list[int]] = {}
-    for i, row in enumerate(nonzero):
-        groups.setdefault(int(np.nonzero(row)[0][-1]), []).append(i)
+    for i, row in enumerate(rows):
+        groups.setdefault(_band(row), []).append(i)
     for top, idx in groups.items():
         group, idx = (rows, slice(None)) if len(groups) == 1 else (rows[idx], idx)
         for j, poly in enumerate(polys, 1):

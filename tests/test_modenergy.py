@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
@@ -309,6 +310,16 @@ def test_evaluate_energy_threshold_guard():
     evaluate_energy(bp, 3.6, u)  # just above the threshold: fine
 
 
+def test_an_overflowing_s_is_refused_before_any_table_is_formed():
+    # (1 + k^2)^400 overflows on 64 points, and so does a |k|^sigma table of the
+    # dE/dt plan, which once warned (an error in tier-1) before the refusal
+    bp, u = build_energy(2), random_decay_field(64, 5.0, 1, 0.1, kmax=20)
+    for evaluate in (energy_time_derivative, evaluate_energy):
+        with pytest.raises(ValueError) as refused:
+            evaluate(bp, 400, u)
+        assert str(refused.value) == "s = 400 overflows (1 + k^2)^s on a grid of 64 points"
+
+
 def test_pterm_factory_normalization():
     t = pterm(1, 0, (2, 0), -2, 3, 1)
     assert t.inner == (0, 2)
@@ -565,6 +576,24 @@ def test_energy_time_derivative_fft_count_is_pinned(blueprints, transforms):
     # with outer derivatives (about 128 KiB of rows a block); building the
     # plan (first call) adds none, and both fields of the layer share one plan
     assert seen[0] == seen[1] == seen[2] == {"rfft": 14, "irfft": 20}
+
+
+def test_energy_time_derivative_peak_allocation_is_pinned(blueprints):
+    # each temporary of the plan's apply is freed before its next transform: one
+    # call at l = 5, N = 512 and band 169, with the plan built, allocates at most
+    # 832 KiB at its peak, the reading before the rewrite in place; a rewrite that
+    # kept the tail cores' product alive across their transforms read 1093 KiB
+    bp = blueprints[5]
+    for u in _fields(512, 16.0):
+        assert u.band_limit() == 169
+        energy_time_derivative(bp, 16, u)
+        tracemalloc.start()
+        try:
+            energy_time_derivative(bp, 16, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 832 * 1024, peak
 
 
 @pytest.mark.parametrize("block_bytes", [0, 1 << 62], ids=["one-bundle-a-block", "one-block-a-grid"])

@@ -1393,6 +1393,23 @@ def test_record_values_groups_rows_by_band_bit_for_bit():
         assert np.array_equal(values.view(np.uint64), want.view(np.uint64)), f.band_limit()
 
 
+def test_a_nan_mode_counts_in_the_band():
+    # a NaN above the last nonzero finite mode is != 0, so the band reaches it
+    # and every value on the band is NaN, as the norm is; the band once
+    # stopped below it (abs(nan) > 0 is false) and the values were finite
+    modes = np.zeros(33, dtype=np.complex128)
+    modes[1], modes[5] = 0.1, np.nan
+    u = SpectralField(64, modes)
+    assert u.band_limit() == 5
+    h1 = level(1).hamiltonian
+    assert math.isnan(sobolev_norm(u))
+    assert math.isnan(functional_eval(h1, u))
+    assert np.isnan(spectral._record_values(modes[None].copy(), [_Monomials(h1.integrand)])).all()
+    bp = modenergy.build_energy(2)
+    assert math.isnan(modenergy.energy_time_derivative(bp, 4, u))
+    assert math.isnan(modenergy.evaluate_energy(bp, 4, u))
+
+
 def _phi_closed_form(j, z):
     """(e^z - sum_{n<j} z^n/n!)/z^j as written out, the only form away from 0 before the recurrence."""
     ez = np.exp(z)
