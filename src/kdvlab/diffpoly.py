@@ -66,10 +66,6 @@ class DiffMonomial:
     def degree(self) -> int:
         return len(self.factors)
 
-    @property
-    def weight(self) -> int:
-        return sum(k for _, k in self.factors)
-
     def __repr__(self):
         if not self.factors:
             return f"({self.coeff})"
@@ -331,7 +327,7 @@ class IntegralExpr:
         return f"Int[{self.canonical!r}]"
 
 
-def homotopy_hamiltonian(g: DiffPoly, symbol: str = "u") -> IntegralExpr:
+def homotopy_hamiltonian(g: DiffPoly) -> IntegralExpr:
     """Hamiltonian H with variational gradient g, via the line homotopy.
 
     H(u) = int_0^1 int g(t u) u dx dt weights a degree-k monomial of g by
@@ -340,10 +336,10 @@ def homotopy_hamiltonian(g: DiffPoly, symbol: str = "u") -> IntegralExpr:
     verification euler(H') == g fails).
     """
     terms = [
-        DiffMonomial(m.coeff / (m.degree + 1), m.factors + ((symbol, 0),)) for m in g
+        DiffMonomial(m.coeff / (m.degree + 1), m.factors + (("u", 0),)) for m in g
     ]
     integrand = DiffPoly(terms)
-    if euler_operator(integrand, symbol) != g:
+    if euler_operator(integrand) != g:
         raise GradientMismatch(f"homotopy integrand does not regenerate {g!r}")
     return IntegralExpr(integrand)
 

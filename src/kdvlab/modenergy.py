@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import ClassVar
 
 import numpy as np
@@ -92,17 +92,8 @@ def regularity_threshold(l: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class _Integral:
-    """A term or marker: coeff(s) times an integral of the field."""
-
-    __slots__ = ()
-
-    def evaluate(self, fieldval: SpectralField, s: float) -> float:
-        return _EnergyPlan((self,), float(s), fieldval.band_limit()).apply(fieldval)[0]
-
-
 @dataclass(frozen=True)
-class PTerm(_Integral):
+class PTerm:
     """coeff(s) * int d^a_out(prod_i d^{q_i}u) . D^{s+off}d^b u . D^{s+off}d^c u.
 
     inner lists the plain derivative orders q_i inside the bundle, sorted
@@ -163,7 +154,7 @@ def pterm(coeff, a_out: int, inner, off: int, b: int, c: int) -> PTerm:
 
 
 @dataclass(frozen=True)
-class NormGapTerm(_Integral):
+class NormGapTerm:
     """coeff(s) * int u d^{2l-1}u ((J^{2s} - D^{2s})u): the J-vs-D norm gap."""
 
     coeff: SPoly
@@ -172,7 +163,7 @@ class NormGapTerm(_Integral):
 
 
 @dataclass(frozen=True)
-class CommutatorTail(_Integral):
+class CommutatorTail:
     """Tail of the para-Leibniz expansion, paired with its bundle context.
 
     Represents coeff(s) * int d^{a_out}(prod(inner)) . tail . D^{s+off}d^{other_b}u
@@ -531,8 +522,13 @@ def build_energy(l: int, max_stage: int | None = None) -> EnergyBlueprint:
 
 
 def _check_threshold(l: int, s) -> None:
+    """Refuse s <= the threshold; inf and nan compare as they are, so -inf is refused here and
+    _sobolev_weights names +inf and nan."""
     thr = regularity_threshold(l)
-    val = Fraction(s).limit_denominator(10**9) if isinstance(s, float) else Fraction(s)
+    if not isinstance(s, float):
+        val = Fraction(s)
+    else:
+        val = Fraction(s).limit_denominator(10**9) if isfinite(s) else s
     if val <= thr:
         raise ThresholdViolation(f"need s > {thr} for l = {l}, got {s}")
 

