@@ -587,7 +587,7 @@ class _GridPlan:
             _, first, second, sigmas, taylor = zip(*reversed(cores.values()))
             # term j of every Taylor sum, the shorter sums padded with 0 * 1 * 1
             w, low, high = np.array([tj + [(0.0, 0, 0)] * (max(map(len, taylor)) - len(tj)) for tj in taylor]).T
-            symbols = np.array([_d_weights.__wrapped__(m, sigma) for sigma in sigmas])  # read once: not cached
+            symbols = np.array([_d_weights(m, sigma) for sigma in sigmas])
             self.cores = (_ix(first), _ix(second), symbols, w[..., None], low.astype(np.intp), high.astype(np.intp))
 
         # the outer derivatives' orders follow the factors' in orders

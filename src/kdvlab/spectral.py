@@ -38,7 +38,6 @@ __all__ = [
     "hierarchy_flow",
     "model_flow",
     "mollify",
-    "multiplier",
     "random_decay_field",
     "regularized_flow",
     "scale_field",
@@ -133,29 +132,8 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def multiplier(f: SpectralField, kind: str, sigma: float | int = 0) -> SpectralField:
-    """Fourier multiplier: kind in {"D", "J", "d"}.
-
-    D: |k|^sigma with the k=0 mode sent to 0 unless sigma = 0 (negative
-    powers of |k| act only away from the mean; the convention is inert
-    because every use here is on mean-free quantities). J: (1+k^2)^(sigma/2).
-    d: (ik)^m, m = sigma a nonnegative integer.
-    """
-    if kind == "D":
-        w = _d_weights(f.n, float(sigma))
-    elif kind == "J":
-        w = _sobolev_weights(f.n, float(sigma) / 2.0) + 0j
-    elif kind == "d":
-        if not (float(sigma).is_integer() and sigma >= 0):
-            raise ValueError("derivative order must be a nonnegative integer")
-        w = _d_rows((int(sigma),), f.n // 2 + 1)[0]
-    else:
-        raise ValueError(f"unknown multiplier kind {kind!r}")
-    return f.with_modes(f.modes * w)
-
-
 # (1 + k^2)^s for k = 0..n/2, read-only; a non-finite table raises, the one finiteness test of s.
-# Bounded: a solve's records, an energy plan's norm gap, a J multiplier and _raw_rate use one key per (n, s)
+# Bounded: a solve's records, an energy plan's norm gap and _raw_rate use one key per (n, s)
 @functools.lru_cache(maxsize=64)
 def _sobolev_weights(n: int, s: float) -> np.ndarray:
     if n > MAX_GRID:
@@ -217,7 +195,8 @@ def _product_grid(degree: int, band: int) -> int:
 
 
 # |k|^sigma for k = 0..n/2, read-only; a non-finite table raises, the one finiteness test of sigma.
-# Bounded: one key per (n, sigma) of an energy plan's factors on a field, or of a D multiplier
+# Bounded: one key per (n, sigma) of an energy plan's factors on a field and per (m, sigma) of its tail
+# cores on a grid m; the energy benchmark's calls fill 56 keys (108,720 bytes), 36 of them tail grids (82,960)
 @functools.lru_cache(maxsize=256)
 def _d_weights(n: int, sigma: float) -> np.ndarray:
     """|k|^sigma for k = 0..n/2, the k=0 value 0 for sigma != 0 (projection convention)."""

@@ -60,10 +60,6 @@ class SPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def degree(self) -> int:
-        return len(self.num) - 1
-
     def __call__(self, s_value):
         """Evaluate; exact for Fraction/int input, float for float input.
 

@@ -6,16 +6,19 @@ a product are the convolution of its factors' modes, so the spectrum of a
 differential polynomial in u is a finite sum of Gaussian rationals and its
 integral over the period is 2 pi times its zero mode.  Everything here is exact
 integer arithmetic over one common denominator: it reads a DiffPoly's monomials
-and shares no FFT, grid or plan with kdvlab.
+(and takes their partial derivatives) and shares no FFT, grid or plan with kdvlab.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
+
+from kdvlab.diffpoly import partial_derivative
 
 
 class ExactField:
@@ -54,23 +57,67 @@ class ExactField:
         return out
 
     def _derivative(self, q: int) -> dict:
-        """The modes of d^q u times den: (ik)^q c_k, rotated by i^q."""
-        out = {}
-        for k, (re, im) in self._num.items():
-            re, im = re * k**q, im * k**q
-            for _ in range(q % 4):
-                re, im = -im, re
-            out[k] = (re, im)
-        return out
+        """The modes of d^q u times den: (ik)^q c_k."""
+        return derivative(self._num, q)
 
     def product(self, orders: tuple[int, ...]) -> dict:
         """The modes of prod_i d^{q_i} u times den^len(orders), orders sorted."""
         if orders not in self._products:
-            self._products[orders] = _convolve(self.product(orders[:-1]), self._derivative(orders[-1]))
+            self._products[orders] = convolve(self.product(orders[:-1]), self._derivative(orders[-1]))
         return self._products[orders]
 
 
-def _convolve(a: dict, b: dict) -> dict:
+def derivative(modes: dict, q: int) -> dict:
+    """The modes of d^q of a spectrum {k: (re, im)}: mode k times k^q, rotated by i^q."""
+    out = {}
+    for k, (re, im) in modes.items():
+        re, im = re * k**q, im * k**q
+        for _ in range(q % 4):
+            re, im = -im, re
+        out[k] = (re, im)
+    return out
+
+
+def abs_power(sigma: int):
+    """The symbol |k|^sigma of D^sigma for an even sigma >= 0, where it is the integer k^sigma.
+
+    At sigma = 0 it is 1 at every k, k = 0 included; above, it sends k = 0 to 0.
+    """
+    if sigma < 0 or sigma % 2:
+        raise ValueError(f"|k|^sigma is an integer polynomial in k only for an even sigma >= 0, not {sigma}")
+    return lambda k: k**sigma
+
+
+def weight(modes: dict, symbol) -> dict:
+    """The modes of a Fourier multiplier with an integer symbol: mode k times symbol(k).
+
+    weight(field.product(orders), abs_power(sigma)) is D^sigma of a product.
+    """
+    return {k: (re * w, im * w) for k, (re, im) in modes.items() if (w := symbol(k))}
+
+
+def zero_mode(*spectra: dict) -> tuple:
+    """The zero mode (re, im) of the product of the fields of spectra: all but the last
+    convolved in order, then paired with the last's modes at -k, so the last may be the widest."""
+    *front, last = spectra
+    rest = functools.reduce(convolve, front) if front else {0: (1, 0)}
+    re = sum(r1 * last[-k][0] - i1 * last[-k][1] for k, (r1, i1) in rest.items() if -k in last)
+    im = sum(r1 * last[-k][1] + i1 * last[-k][0] for k, (r1, i1) in rest.items() if -k in last)
+    return re, im
+
+
+def combine(*terms) -> dict:
+    """sum_j c_j a_j over (c_j, a_j) pairs of an integer c_j and a spectrum a_j on one common scale."""
+    out: dict = {}
+    for c, a in terms:
+        for k, (re, im) in a.items():
+            acc = out.get(k, (0, 0))
+            out[k] = (acc[0] + c * re, acc[1] + c * im)
+    return out
+
+
+def convolve(a: dict, b: dict) -> dict:
+    """The spectrum of the product of the fields of two spectra."""
     out: dict = {}
     for k1, (re1, im1) in a.items():
         for k2, (re2, im2) in b.items():
@@ -110,11 +157,22 @@ def integral(poly, field: ExactField) -> Fraction:
         if not orders:
             re_sum += Fraction(monomial.coeff)
             continue
-        rest, last = field.product(orders[:-1]), field._derivative(orders[-1])
-        re = sum(r1 * last[-k][0] - i1 * last[-k][1] for k, (r1, i1) in rest.items() if -k in last)
-        im = sum(r1 * last[-k][1] + i1 * last[-k][0] for k, (r1, i1) in rest.items() if -k in last)
+        re, im = zero_mode(field.product(orders[:-1]), field._derivative(orders[-1]))
         scale = Fraction(monomial.coeff) / field.den ** len(orders)
         re_sum, im_sum = re_sum + scale * re, im_sum + scale * im
     if im_sum:
         raise AssertionError(f"the integral of a real field's polynomial has imaginary part {im_sum}")
     return re_sum
+
+
+def directional(poly, field: ExactField, v: ExactField) -> Fraction:
+    """r with d/dtau int poly(u + tau v) dx at tau = 0 equal to 2 pi r, for u the field.
+
+    It is sum_k int dpoly/d(d^k u) . d^k v over the orders k of poly's factors,
+    each partial derivative taken by partial_derivative and integrated exactly.
+    """
+    total = Fraction(0)
+    for q in sorted({q for monomial in poly for q in _orders(monomial)}):
+        re, _ = zero_mode(spectrum(partial_derivative(poly, ("u", q)), field), v.product((q,)))
+        total += re / v.den
+    return total

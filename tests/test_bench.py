@@ -94,7 +94,8 @@ _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def _unreferenced(modules: list[str], callers: list[str]) -> list[str]:
     """Top-level functions and classes of modules used nowhere but in their own definition, and methods and
     properties of those classes (dunders aside) that no attribute access reaches outside their own body;
-    a name used only by other such names counts as unused too."""
+    a name used only by other such names counts as unused too.  Attribute accesses are matched by name
+    alone, so a method whose name another class's attribute shares is always counted as used."""
     trees = [ast.parse(source) for source in modules + callers]
     refs = sum(map(_references, trees), Counter())
     attrs = sum(map(_attributes, trees), Counter())
@@ -117,13 +118,6 @@ def _unreferenced(modules: list[str], callers: list[str]) -> list[str]:
     return sorted(defs[d][0] for d in dead)
 
 
-# the names in src/kdvlab that only tests call, each with the reason it is kept
-_KEPT_FOR_TESTS = {
-    "multiplier": "the README documents it as API, and its refusal cases are tier-1's only path "
-    "to _d_rows' row-finiteness check",
-}
-
-
 def test_every_top_level_name_in_src_is_used_outside_the_tests():
     # src/ holds what a run, a command, the benchmark or a script calls: a
     # function, class, method or property that only tests call is deleted,
@@ -139,4 +133,4 @@ def test_every_top_level_name_in_src_is_used_outside_the_tests():
     def sources(folder: str) -> list[str]:
         return [path.read_text() for path in sorted((ROOT / folder).glob("*.py"))]
 
-    assert _unreferenced(sources("src/kdvlab"), sources("perfbench") + sources("scripts")) == sorted(_KEPT_FOR_TESTS)
+    assert _unreferenced(sources("src/kdvlab"), sources("perfbench") + sources("scripts")) == []

@@ -168,28 +168,41 @@ def _gardner_densities(n: int) -> tuple:
 
 
 # levels 0..10: the golden file freezes 0..8 and the level digests cover 9..12;
-# -1/18 is one constant for all of them
+# -1/18 is one constant for all of them.  CI checks levels 11 and 12 too, by
+# _check_gardner(range(11, 13)), which takes about 2.4 s from a cold cache
 _GARDNER_LEVELS = range(11)
 _GARDNER = mono(Fraction(-1, 18))
 
+# each identity at level l, from the densities w = w_0..w_{2l+2} at least
+_GARDNER_IDENTITIES = {
+    "gradient": lambda w, l: euler_operator(w[2 * l + 2]) == _GARDNER * hierarchy.level(l).g,
+    "odd exact": lambda w, l: is_exact(w[2 * l + 1]),
+    "hamiltonian": lambda w, l: (
+        IntegralExpr(w[2 * l + 2]) == IntegralExpr(_GARDNER * hierarchy.level(l).hamiltonian.integrand)
+    ),
+}
+
+
+def _check_gardner(levels, identities=tuple(_GARDNER_IDENTITIES)) -> None:
+    """Assert each named Gardner identity at every level of the range levels."""
+    w = _gardner_densities(2 * levels[-1] + 2)
+    for name in identities:
+        for l in levels:
+            assert _GARDNER_IDENTITIES[name](w, l), (name, l)
+
 
 def test_even_gardner_densities_are_the_hierarchy_gradients():
-    w = _gardner_densities(2 * _GARDNER_LEVELS[-1] + 2)
-    for l in _GARDNER_LEVELS:
-        assert euler_operator(w[2 * l + 2]) == _GARDNER * hierarchy.level(l).g, l
+    _check_gardner(_GARDNER_LEVELS, ["gradient"])
 
 
 def test_odd_gardner_densities_are_exact():
-    w = _gardner_densities(2 * _GARDNER_LEVELS[-1] + 2)
-    for n in range(1, len(w), 2):
-        assert is_exact(w[n]), n
+    # w_1, w_3, ..., w_21: one odd density per level
+    _check_gardner(_GARDNER_LEVELS, ["odd exact"])
 
 
 def test_even_gardner_densities_integrate_to_the_hamiltonians():
     # the homotopy Hamiltonians and the IBP normal form, certified by a second route
-    w = _gardner_densities(2 * _GARDNER_LEVELS[-1] + 2)
-    for l in _GARDNER_LEVELS:
-        assert IntegralExpr(w[2 * l + 2]) == IntegralExpr(_GARDNER * hierarchy.level(l).hamiltonian.integrand), l
+    _check_gardner(_GARDNER_LEVELS, ["hamiltonian"])
 
 
 @pytest.mark.parametrize("l", [3, 4])

@@ -1,4 +1,4 @@
-"""Pseudospectral layer: fields, multipliers, quadrature, flows, stepping."""
+"""Pseudospectral layer: fields, Fourier symbol tables, quadrature, flows, stepping."""
 
 import dataclasses
 import math
@@ -27,7 +27,6 @@ from kdvlab.spectral import (
     hierarchy_flow,
     model_flow,
     mollify,
-    multiplier,
     random_decay_field,
     regularized_flow,
     rhs_field,
@@ -51,7 +50,7 @@ def _from_values(values):
 
 
 # ---------------------------------------------------------------------------
-# fields and multipliers
+# fields and Fourier symbol tables
 # ---------------------------------------------------------------------------
 
 
@@ -97,17 +96,16 @@ def test_parseval():
 
 def test_derivative_exact_on_modes():
     f = cosine_field(64, 3)
-    g = multiplier(f, "d", 1)  # -3 sin 3x
+    g = f.with_modes(f.modes * spectral._d_rows((1,), 33)[0])  # -3 sin 3x
     x = grid(64)
     assert np.allclose(g.values(), -3.0 * np.sin(3 * x), atol=1e-13)
 
 
 def test_fractional_multiplier_values():
+    # D^0.5 = |k|^0.5 and J^2 = 1 + k^2, read from the |k|^sigma and (1 + k^2)^s tables
     f = cosine_field(64, 2)
-    g = multiplier(f, "D", 0.5)
-    assert abs(g.modes[2] - f.modes[2] * math.sqrt(2.0)) < 1e-15
-    h = multiplier(f, "J", 2.0)
-    assert abs(h.modes[2] - f.modes[2] * 5.0) < 1e-15
+    assert abs(f.modes[2] * spectral._d_weights(64, 0.5)[2] - f.modes[2] * math.sqrt(2.0)) < 1e-15
+    assert abs(f.modes[2] * spectral._sobolev_weights(64, 1.0)[2] - f.modes[2] * 5.0) < 1e-15
 
 
 def test_l2_inner_orthogonality():
@@ -233,8 +231,8 @@ def test_a_lone_high_order_stores_only_the_rows_it_asks(monkeypatch):
     plan = _PolyPlan(model_flow(60).nonlinear, 256, 2.0 / 3.0)
     assert {q: len(row) for q, row in spectral._D_ROWS.items()} == {0: plan.take + 1, 119: plan.take + 1}
     monkeypatch.setattr(spectral, "_D_ROWS", {})
-    multiplier(_F64, "d", 119)
-    assert {q: len(row) for q, row in spectral._D_ROWS.items()} == {119: 33}
+    plan = _PolyPlan(mono(1, [("u", 119)]), 96, 2.0 / 3.0)
+    assert {q: len(row) for q, row in spectral._D_ROWS.items()} == {119: plan.take + 1} == {119: 33}
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +280,8 @@ def test_constant_terms_and_the_zero_order_multiplier():
     assert np.allclose(eval_diffpoly(sym("u") + mono(3), f).modes, want, rtol=0, atol=1e-14)
     assert functional_eval(mono(3), f) == 6.0 * math.pi
     assert functional_eval(DiffPoly(), f) == 0.0
-    # D^0 multiplies every mode, the mean's included, by 1
-    assert np.array_equal(multiplier(f, "D", 0).modes.view(np.int64), f.modes.view(np.int64))
+    # |k|^0 multiplies every mode, the mean's included, by 1
+    assert np.array_equal((f.modes * spectral._d_weights(f.n, 0.0)).view(np.int64), f.modes.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +475,11 @@ _F8, _F16, _F64 = cosine_field(8, 1), cosine_field(16, 1), cosine_field(64, 1)
         (lambda: SpectralField(8, np.zeros(4)), "mode array does not match grid size"),
         (lambda: _F8 + _F16, "grid mismatch"),
         (lambda: _F8 - _F16, "grid mismatch"),
-        (lambda: multiplier(_F8, "x"), "unknown multiplier kind 'x'"),
-        (lambda: multiplier(_F8, "d", 1.5), "derivative order must be a nonnegative integer"),
-        (lambda: multiplier(_F8, "d", -1), "derivative order must be a nonnegative integer"),
-        (lambda: multiplier(_F8, "d", math.inf), "derivative order must be a nonnegative integer"),
-        (lambda: multiplier(_F8, "d", math.nan), "derivative order must be a nonnegative integer"),
-        # 32^400 and the (ik)^400 of every mode above it overflow, as (1 + k^2)^200 does for "J"
-        (lambda: multiplier(_F64, "d", 400), "q = 400 overflows (ik)^q for k < 33"),
-        (lambda: multiplier(_F64, "D", 400.0), "sigma = 400 overflows |k|^sigma on a grid of 64 points"),
-        (lambda: multiplier(_F64, "D", math.nan), "sigma = nan is not a number"),
-        (lambda: multiplier(_F64, "J", math.nan), "s = nan is not a number"),
+        # the band of N = 96 is modes 0..32, and 32^400 overflows (ik)^400 there
+        (lambda: eval_diffpoly(mono(1, [("u", 400)]), cosine_field(96, 1)), "q = 400 overflows (ik)^q for k < 33"),
+        (lambda: spectral._d_weights(64, 400.0), "sigma = 400 overflows |k|^sigma on a grid of 64 points"),
+        (lambda: spectral._d_weights(64, math.nan), "sigma = nan is not a number"),
+        (lambda: spectral._sobolev_weights(64, math.nan), "s = nan is not a number"),
         (lambda: sobolev_norm(_F64, math.nan), "s = nan is not a number"),
         (lambda: mollify(_F8, 0.0), "need eps > 0 and m >= 1"),
         (lambda: mollify(_F8, 0.1, 0), "need eps > 0 and m >= 1"),

