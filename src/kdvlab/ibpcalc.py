@@ -11,6 +11,7 @@ The diagonal alpha_{l,l} = (-1)^{l+1}(2l+1) is asserted by tests, not assumed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -44,26 +45,21 @@ class AlphaTable:
 # and verify_identity 0.59 s more, at l = 96 0.65 s and 1.83 s (2-core Xeon)
 MAX_ALPHA = 64
 
-_TABLES: dict[int, AlphaTable] = {}
 
-
+@functools.cache
 def alpha_coeffs(l: int) -> AlphaTable:
+    """The table of level l, its row read off the cached tables of the levels below."""
     if l < 0:
         raise ValueError("l must be nonnegative")
     if l > MAX_ALPHA:
         raise ValueError(f"the identity level l = {l} is above the bound {MAX_ALPHA}")
-    if l not in _TABLES:
-        for ll in range(l + 1):
-            if ll in _TABLES:
-                continue
-            row = []
-            for m in range(1, ll + 1):
-                val = Fraction(comb(2 * ll + 1, m))
-                for j in range(1, m):
-                    val -= comb(2 * ll + 1, j) * _TABLES[ll - j][m - j]
-                row.append(val)
-            _TABLES[ll] = AlphaTable(ll, tuple(row))
-    return _TABLES[l]
+    row = []
+    for m in range(1, l + 1):
+        val = Fraction(comb(2 * l + 1, m))
+        for j in range(1, m):
+            val -= comb(2 * l + 1, j) * alpha_coeffs(l - j)[m - j]
+        row.append(val)
+    return AlphaTable(l, tuple(row))
 
 
 def _identity_sides(l: int) -> tuple[DiffPoly, DiffPoly]:

@@ -48,6 +48,11 @@ class ExactField:
         draw = lambda k: Fraction(float(Fraction(rng.randint(-9, 9), 10 * max(k, 1) ** 2)))
         return cls([(draw(0), 0)] + [(draw(k), draw(k)) for k in range(1, K + 1)])
 
+    @classmethod
+    def read(cls, field) -> "ExactField":
+        """A float field's modes 0..band_limit(), read exactly: every float is a dyadic rational."""
+        return cls([(Fraction(c.real), Fraction(c.imag)) for c in field.modes[: field.band_limit() + 1]])
+
     def half_spectrum(self, n: int) -> np.ndarray:
         """c_0..c_{n/2} as complex floats: the rfft layout of the field on n points."""
         if 2 * self.K >= n:

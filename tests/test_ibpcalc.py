@@ -6,6 +6,8 @@ and independently certified by the variational oracle (verify_identity) and
 by spectral quadrature on random trigonometric fields.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,23 @@ def test_one_based_indexing_and_diagonal():
 def test_a_negative_level_is_refused():
     with pytest.raises(ValueError, match="^l must be nonnegative$"):
         alpha_coeffs(-1)
+
+
+def test_cold_cache_fill_is_thread_safe():
+    # four threads filling a cold cache at once build the same tables as one
+    # thread, and the cache holds one table per level 1..12 (row 12 reads 1..11)
+    expected = [alpha_coeffs(l).to_obj() for l in range(13)]
+    alpha_coeffs.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(alpha_coeffs, [12] * 4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [table.to_obj() for table in results] == [expected[12]] * 4
+    assert alpha_coeffs.cache_info().currsize == 12
+    assert [alpha_coeffs(l).to_obj() for l in range(13)] == expected
 
 
 def test_diagonal_law():

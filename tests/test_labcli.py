@@ -588,7 +588,7 @@ def test_the_run_bounds_admit_every_tier1_run(monkeypatch):
     monkeypatch.setattr(hierarchy, "_LEVELS", [])
     monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
     monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
-    monkeypatch.setattr(ibpcalc, "_TABLES", {})
+    ibpcalc.alpha_coeffs.cache_clear()
     monkeypatch.setattr(ibpcalc, "comb", _no_run)
     for run in (lambda: hierarchy.generate(top), lambda: modenergy.build_energy(cascade),
                 lambda: ibpcalc.alpha_coeffs(alpha)):

@@ -6,9 +6,11 @@ freezes construction sizes as a change detector; numeric tests certify that
 the symbolic time-derivative decomposition is an identity on real fields.
 """
 
+import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +21,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from exact import ExactField, abs_power, combine, convolve, derivative, weight, zero_mode
+from exact import ExactField, abs_power, combine, convolve, derivative, directional, spectrum, weight, zero_mode
 from kdvlab import modenergy
+from kdvlab.diffpoly import DiffPoly, sym, total_derivative
 from kdvlab.modenergy import (
     CommutatorTail,
     NormGapTerm,
@@ -459,62 +462,52 @@ def test_time_derivative_second_seed():
     assert rel < 1e-6, rel
 
 
-def _directional_energy_rate(bp, s, u, f):
-    """d/dtau E^s(u + tau f) at tau = 0, exactly: no finite differences.
+def _energy_polys(bp, s):
+    """(|u|_{H^s}^2 / 2, E^s) as differential polynomials in u, at an even integer s.
 
-    The quadratic part is <u, f>_{H^s} in mode space.  Each correction is
-    multilinear in its factor slots, so its derivative is the sum over slots
-    with that slot's u replaced by f, each integral sampled on the field's own
-    grid, which must resolve every product.  Returns (rate, quadratic part).
+    J^{2s} = (1 - d^2)^s, and every correction's sigma = s + off is even and
+    >= 0, so D^sigma d^b u = (-1)^{sigma/2} d^{sigma+b} u, the signs cancelling
+    in each pair: gamma(s) coeff(s) d^a_out(prod_i d^{q_i}u) d^{sigma+b}u d^{sigma+c}u.
     """
-    n = u.n
-    k = np.arange(n // 2 + 1, dtype=float)
-    tau = 2.0 * np.pi
-    fac = np.full(k.size, 2.0)
-    fac[0] = 1.0
-    quad = tau * float(np.sum((1.0 + k * k) ** s * fac * np.real(np.conj(u.modes) * f.modes)))
-
-    def sample(modes, order, sigma=0.0):
-        # D^sigma d^order; sigma > 0 here, so k ** sigma sends the mean to 0
-        return np.fft.irfft(modes * k**sigma * (1j * k) ** order * n, n=n)
-
-    def integral(t, slots):
-        bundle = np.ones(n)
-        for q, v in zip(t.inner, slots):
-            bundle = bundle * sample(v, q)
-        if t.a_out:
-            bundle = sample(np.fft.rfft(bundle) / n, t.a_out)
-        vb, vc = slots[len(t.inner):]
-        vals = bundle * sample(vb, t.b, s + t.off) * sample(vc, t.c, s + t.off)
-        return float(t.coeff(s)) * tau * float(np.mean(vals))
-
-    rate = quad
+    u = sym("u")
+    norm = sum((Fraction((-1) ** j * comb(s, j), 2) * u * sym("u", 2 * j) for j in range(s + 1)), DiffPoly())
+    energy = norm
     for c in bp.corrections:
-        t = c.term
-        assert s + t.off > 0
-        deg = len(t.inner) + 2
-        slots = [[f.modes if j == i else u.modes for j in range(deg)] for i in range(deg)]
-        rate += float(c.gamma(s)) * sum(integral(t, sl) for sl in slots)
-    return rate, quad
+        t, sigma = c.term, s + c.term.off
+        assert sigma >= 0 and sigma % 2 == 0, (s, t)
+        bundle = total_derivative(functools.reduce(operator.mul, (sym("u", q) for q in t.inner)), t.a_out)
+        energy = energy + c.gamma(s) * t.coeff(s) * bundle * sym("u", sigma + t.b) * sym("u", sigma + t.c)
+    return norm, energy
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def _exact_rate(bp, s, field, flow):
+    """(r, r_quad) with d/dt E^s = 2 pi r and d/dt |u|_{H^s}^2 / 2 = 2 pi r_quad along the flow at
+    the ExactField, s = 4l - 4: the directional derivatives along the flow's exact right-hand side."""
+    rhs = spectrum(flow.nonlinear + flow.dispersion * sym("u", 2 * flow.l + 1), field)
+    v = ExactField([rhs.get(k, (0, 0)) for k in range(2 * field.K + 1)])
+    norm, energy = _energy_polys(bp, s)
+    return directional(energy, field, v), directional(norm, field, v)
+
+
+def _grid_miss(reading, scale="sum |items| at seed 1"):
+    return pytest.mark.xfail(raises=AssertionError, reason=f"ROADMAP item 1: the grid path is off by {reading} of {scale}")
+
+
+_RATE_SCALE = "the larger of |dE^s/dt| and |d/dt |u|_{H^s}^2 / 2|"
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, pytest.param(6, marks=_grid_miss("2.9e-8", _RATE_SCALE)),
+                               pytest.param(7, marks=_grid_miss("3.0e-6", _RATE_SCALE))])
 def test_time_derivative_matches_exact_directional_derivative(blueprints, l):
     # an oracle that shares no quadrature code with modenergy: dE^s/dt equals
-    # d/dtau E^s(u + tau F) with F the flow's right-hand side.  kmax = 8 puts
-    # F's band at 16, so a degree-d correction with F in one slot reaches
-    # (d + 1) * 8 < n = 128 and every sampled integral is exact.  F comes from
-    # double-precision products: on a steep spectrum (decay s + 2) the roundoff
-    # in its high modes, amplified by |k|^sigma, moves the oracle by up to 3e-5
-    # at l = 5, so the field decays gently.  The corrections can cancel most of
+    # d/dtau E^s(u + tau F) with F the flow's right-hand side, both exact on
+    # the float field read as rationals.  The corrections can cancel most of
     # the quadratic part (165x at l = 2 here), so the gate's scale is the
     # larger of the total and the quadratic part d/dt |u|_{H^s}^2 / 2.
-    bp, s, n, kmax = blueprints[l], 4.0 * l - 4.0, 128, 8
-    assert all((len(c.term.inner) + 3) * kmax < n for c in bp.corrections)
-    u = random_decay_field(n, decay=2.0, seed=100 + l, amplitude=0.5, kmax=kmax)
-    f = rhs_field(model_flow(l), u, dealias=1.0)
-    oracle, quad = _directional_energy_rate(bp, s, u, f)
-    predicted = energy_time_derivative(bp, s, u)
+    bp, s = blueprints[l], 4 * l - 4
+    u = random_decay_field(128, decay=2.0, seed=100 + l, amplitude=0.5, kmax=8)
+    oracle, quad = (math.tau * float(r) for r in _exact_rate(bp, s, ExactField.read(u), model_flow(l)))
+    predicted = energy_time_derivative(bp, float(s), u)
     assert abs(predicted - oracle) <= 1e-9 * max(abs(oracle), abs(quad)), (predicted, oracle)
 
 
@@ -557,19 +550,18 @@ EXACT_GATE = 256
 _EXACT: dict = {}
 
 
-def _exact_energy(blueprints, l, seed):
-    """(u, each dE^s/dt item's exact value, s) for the K = 8 ExactField of seed on 64 points, s = 4l - 4."""
+def _exact_items(blueprints, l, seed):
+    """(field, s, r per dE^s/dt item) for the K = 8 ExactField of seed, s = 4l - 4: each item's value is 2 pi r."""
     if (l, seed) not in _EXACT:
         bp, s, field = blueprints[l], 4 * l - 4, ExactField.random(8, seed)
-        exact = [math.tau * float(_exact_item(t, field, s)) for t in bp.bounded_remainder + bp.markers]
-        _EXACT[l, seed] = SpectralField(64, field.half_spectrum(64)), exact, s
+        _EXACT[l, seed] = field, s, [_exact_item(t, field, s) for t in bp.bounded_remainder + bp.markers]
     return _EXACT[l, seed]
 
 
-def _grid_miss(reading):
-    return pytest.mark.xfail(
-        raises=AssertionError, reason=f"ROADMAP item 1: the grid path is off by {reading} of sum |items| at seed 1"
-    )
+def _exact_energy(blueprints, l, seed):
+    """(u, each dE^s/dt item's exact value, s) for the K = 8 ExactField of seed on 64 points, s = 4l - 4."""
+    field, s, rs = _exact_items(blueprints, l, seed)
+    return SpectralField(64, field.half_spectrum(64)), [math.tau * float(r) for r in rs], s
 
 
 def test_the_exact_items_hand_values():
@@ -601,6 +593,18 @@ def test_energy_time_derivative_matches_the_exact_total(blueprints, l):
         u, exact, s = _exact_energy(blueprints, l, seed)
         total = energy_time_derivative(blueprints[l], s, u)
         assert abs(total - sum(exact)) <= EXACT_GATE * EPS * sum(map(abs, exact)), (seed, total, sum(exact))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_the_blueprint_identity_holds_exactly_on_data(blueprints, l):
+    # d/dt E^s along the model flow is the sum of the bounded terms and the
+    # markers: the items' exact values against the exact rate of E^s, as
+    # rationals.  A numeric twin of C04 that uses none of the cascade's
+    # reductions; it holds at l = 6 and 7 too (seed 0), where the item sums
+    # take 0.5 s and 1.3 s a seed
+    for seed in EXACT_SEEDS:
+        field, s, rs = _exact_items(blueprints, l, seed)
+        assert sum(rs) == _exact_rate(blueprints[l], s, field, model_flow(l))[0], seed
 
 
 def test_markers_evaluate_finite():

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from exact import ExactField, integral
 from kdvlab import modenergy, spectral
 from kdvlab.diffpoly import DiffPoly, mono, sym
 from kdvlab.hierarchy import level
@@ -924,22 +925,6 @@ def test_functional_eval_matches_per_monomial_quadrature(n, kind):
         assert abs(functional_eval(h, f) - ref) <= 1e-12 * scale, l
 
 
-def _exact_functional(p, f):
-    """2pi times the mean of p(u) from the full (non-circular) convolution of
-    the Fourier coefficients on k = -K..K; also the sum of |terms|."""
-    band = f.band_limit()
-    k = np.arange(-band, band + 1)
-    c = np.concatenate([np.conj(f.modes[band:0:-1]), f.modes[: band + 1]])
-    terms = []
-    for monomial in p.monomials:
-        prod = np.ones(1, dtype=np.complex128)
-        for _, q in monomial.factors:
-            prod = np.convolve(prod, c * (1j * k) ** q)
-        # prod holds modes -d*K..d*K; the mean is the middle one
-        terms.append(float(monomial.coeff) * prod[prod.size // 2].real)
-    return TAU * sum(terms), TAU * sum(abs(t) for t in terms)
-
-
 def _five_smooth(m):
     for p in (2, 3, 5):
         while m % p == 0:
@@ -961,11 +946,13 @@ def test_functional_eval_is_exact_on_rounded_grids(transforms):
         cosine_field(n, 1) + cosine_field(n, big_k, 0.5),
     ]
     for f in fields:
+        exact = ExactField.read(f)
         for l in (0, 1, 2, 3):
             h = level(l).hamiltonian
             transforms.clear()
             got = functional_eval(h, f)
-            ref, scale = _exact_functional(h.integrand, f)
+            terms = [integral(DiffPoly([monomial]), exact) for monomial in h.integrand]
+            ref, scale = TAU * float(sum(terms)), TAU * float(sum(map(abs, terms)))
             assert abs(got - ref) <= 1e-13 * scale, (l, got, ref)
             degree = max(len(monomial.factors) for monomial in h.integrand.monomials)
             [m] = [size for name, size in transforms if name == "irfft"]
