@@ -293,6 +293,8 @@ def _cmd_exp(args, argv) -> int:
     _apart("--config", args.config, written)
     man = RunManifest(command="kdvlab " + " ".join(argv), config={})
     result = run_experiment(args.name, raw)
+    for key in sorted(result.metrics):  # a NaN or inf is no measurement, and not JSON
+        _finite(f"{result.name}: metric {key}", result.metrics[key])
     man.config = result.config
     out_dir.mkdir(parents=True, exist_ok=True)
 

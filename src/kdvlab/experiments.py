@@ -92,17 +92,13 @@ def _resolve(defaults: dict, config: dict | None) -> dict:
 def _solver_config(cfg: dict, **changes) -> SolverConfig:
     """The solver settings of a resolved experiment config, with changes applied.
 
-    Recording follows the config's cadence (every step without one); an
-    experiment needs one step or more, since a run of no steps measures nothing.
+    Recording follows the config's cadence (every step without one).
     """
     fields = dict(
         n=cfg["n"], dt=cfg["dt"], t_final=cfg["t_final"], dealias=cfg["dealias"],
         order=cfg["order"], diagnostics_every=cfg.get("cadence", 1),
     )
-    sc = SolverConfig(**{**fields, **changes})
-    if sc.steps == 0:
-        raise ValueError(f"t_final = {sc.t_final:g} takes no step of dt = {sc.dt:g}, which measures nothing")
-    return sc
+    return SolverConfig(**{**fields, **changes})
 
 
 def _ladder(cfg: dict, key: str, n: int) -> tuple:
@@ -389,10 +385,10 @@ def exp_energy_drift(config: dict | None = None) -> ExperimentResult:
     l, s = cfg["l"], cfg["s"]
     k0s = _ladder(cfg, "contrast_k0", 2)
     amp_lo, amp_hi, amps = (cfg[f"coercivity_{key}"] for key in ("amp_lo", "amp_hi", "amplitudes"))
-    if min(amp_lo, amp_hi) <= 0 or amps < 1:
+    if not 0 < amp_lo < amp_hi or amps < 1:
         raise ValueError(
-            "energy-drift: the coercivity scan needs positive amplitudes and at least one of them, got "
-            f"coercivity_amp_lo = {amp_lo}, coercivity_amp_hi = {amp_hi}, coercivity_amplitudes = {amps}"
+            "energy-drift: the coercivity scan needs 0 < coercivity_amp_lo < coercivity_amp_hi and one amplitude "
+            f"or more, got coercivity_amp_lo = {amp_lo}, coercivity_amp_hi = {amp_hi}, coercivity_amplitudes = {amps}"
         )
     sc = _solver_config(cfg, hamiltonians=())
     fine_sc = _solver_config(cfg, n=2 * cfg["n"], hamiltonians=())

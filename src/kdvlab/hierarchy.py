@@ -9,7 +9,7 @@ its Hamiltonian comes from the line homotopy.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,11 +63,6 @@ def lenard_step(g: DiffPoly) -> DiffPoly:
 MAX_LEVEL = 16
 
 
-# module cache of levels 0..len-1; every fill holds the lock
-_LEVELS: list[HierarchyLevel] = []
-_LEVELS_LOCK = threading.Lock()
-
-
 def _build_level(l: int, g: DiffPoly) -> HierarchyLevel:
     return HierarchyLevel(
         l=l,
@@ -77,22 +72,20 @@ def _build_level(l: int, g: DiffPoly) -> HierarchyLevel:
     )
 
 
-def generate(l: int) -> tuple[HierarchyLevel, ...]:
-    """Levels 0..l inclusive, memoized."""
+@functools.cache
+def level(l: int) -> HierarchyLevel:
+    """Level l, its integrand the Lenard step of the cached level below."""
     if l < 0:
         raise ValueError("level must be nonnegative")
     if l > MAX_LEVEL:
         raise ValueError(f"the hierarchy level l = {l} is above the level bound {MAX_LEVEL}")
-    with _LEVELS_LOCK:
-        if not _LEVELS:
-            _LEVELS.append(_build_level(0, sym("u")))
-        while len(_LEVELS) <= l:
-            _LEVELS.append(_build_level(len(_LEVELS), lenard_step(_LEVELS[-1].g)))
-        return tuple(_LEVELS[: l + 1])
+    return _build_level(l, lenard_step(level(l - 1).g) if l else sym("u"))
 
 
-def level(l: int) -> HierarchyLevel:
-    return generate(l)[l]
+def generate(l: int) -> tuple[HierarchyLevel, ...]:
+    """Levels 0..l inclusive, memoized; level l comes first, so a bad l is refused before any is built."""
+    level(l)
+    return tuple(map(level, range(l + 1)))
 
 
 def involution_residue(m: int, l: int) -> DiffPoly:

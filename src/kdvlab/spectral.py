@@ -671,6 +671,8 @@ class SolverConfig:
             raise ValueError(f"the step count t_final / dt = {self.t_final} / {self.dt} is above the bound {MAX_STEPS}")
         if abs(self.steps * self.dt - self.t_final) > 1e-9 * max(1.0, self.t_final):
             raise ValueError("t_final must be an integer number of steps")
+        if self.steps == 0:
+            raise ValueError(f"t_final = {self.t_final:g} takes no step of dt = {self.dt:g}, which measures nothing")
         if self.order not in (2, 4):
             raise ValueError(f"integrator order must be 2 or 4, got {self.order}")
         if self.diagnostics_every < 1:

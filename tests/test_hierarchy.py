@@ -254,9 +254,10 @@ def test_serialization_roundtrip(read_poly):
     assert back.hamiltonian.canonical == lv.hamiltonian.canonical
 
 
-def test_cold_cache_fill_is_thread_safe(monkeypatch):
-    # four threads filling a cold cache at once must still store level l at index l
-    monkeypatch.setattr(hierarchy, "_LEVELS", [])
+def test_cold_cache_fill_is_thread_safe():
+    # four threads filling a cold cache at once build the golden levels, and the
+    # cache holds one level per l = 0..8
+    hierarchy.level.cache_clear()
     with open(GOLDEN) as fh:
         frozen = json.load(fh)
     interval = sys.getswitchinterval()
@@ -266,6 +267,6 @@ def test_cold_cache_fill_is_thread_safe(monkeypatch):
             results = list(pool.map(hierarchy.generate, [8] * 4))
     finally:
         sys.setswitchinterval(interval)
-    assert [lv.l for lv in hierarchy._LEVELS] == list(range(9))
+    assert hierarchy.level.cache_info().currsize == 9
     for levels in results:
         assert [hierarchy.level_to_obj(lv) for lv in levels] == frozen

@@ -89,8 +89,6 @@ def _quad(fields: dict[str, np.ndarray], terms) -> float:
     """int prod_i d^{o_i} sym_i dx on [0, 2pi) by trapezoid-exact FFT grid."""
     total = 0.0
     n = next(iter(fields.values())).size
-    x = 2.0 * np.pi * np.arange(n) / n
-    del x
     for coeff, factors in terms:
         prod = np.ones(n)
         for name, order in factors:

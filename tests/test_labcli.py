@@ -229,14 +229,6 @@ def test_solve_zero_ic(tmp_path):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
-def test_solve_zero_time_writes_the_initial_row(tmp_path):
-    out = tmp_path / "run.csv"
-    cfg = _write(tmp_path, "s.cfg", _solve_cfg(out, "time.T = 0"))
-    assert main(["solve", "--config", cfg]) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2 and lines[1].startswith("0.0,")
-
-
 def _csv_columns(path: Path) -> dict:
     header, *rows = path.read_text().splitlines()
     return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
@@ -360,7 +352,7 @@ SOLVE_REFUSALS = [
         "time.T = inf", "diagnostics.every = 0", "integrator.order = 3", "grid.N = 128, 256",
         "diagnostics.s = nan", "diagnostics.s = inf", "diagnostics.s = 400",
         # the (1 + k^2)^s table is finite, the norm of the t = 0 state is not
-        "time.T = 0\ndealias = 1\nic.kind = random\nic.decay = 0\nic.amplitude = 1e3\ndiagnostics.s = 102",
+        "time.T = 1e-3\ndealias = 1\nic.kind = random\nic.decay = 0\nic.amplitude = 1e3\ndiagnostics.s = 102",
         "energy.s = nan", "energy.s = inf", "energy.s = 400",
         "flow.kind = regularized\nflow.mu = nan", "flow.kind = regularized\nflow.mu = inf",
         "ic.amplitude = inf", "ic.amplitude = nan",
@@ -375,6 +367,9 @@ SOLVE_REFUSALS = [
         "ic.kind = random\nic.decay = -50\nic.amplitude = 1e300",
         "ic.kind = sine", "flow.kind = kdv",
     ]),
+    # a run of no steps measures nothing: SolverConfig refuses it
+    ("test_solve_zero_time_exits_2_before_any_step", ("cli.solve",), "time.T = 0",
+     r"error: t_final = 0 takes no step of dt = 0\.001, which measures nothing"),
     # E^s at l = 2 needs s > 7/2: refused before the march, not at the first record
     ("test_solve_refuses_a_below_threshold_energy_s_before_any_step", ("cli.solve",), "energy.s = 3.5"),
     # 1e300 steps, 1.001e6 steps at dt = 1e-3 (above MAX_STEPS), 3.33 steps, a
@@ -414,6 +409,8 @@ EXP_REFUSALS = [
         ("bona-smith", "betas = 0.5, -1"),
         ("energy-drift", "coercivity_amplitudes = 0"), ("energy-drift", "coercivity_amp_lo = 0"),
         ("energy-drift", "coercivity_amp_hi = -1"),
+        # a downward scan: it would start outside the window, and coercivity_delta read 0
+        ("energy-drift", "coercivity_amp_lo = 1e3\ncoercivity_amp_hi = 1e-2"),
         ("bona-smith", "amplitude = 0"), ("bona-smith", "kmin = 1024"), ("bona-smith", "kmin = -1"),
         # the field's modes overflow (k^399.49), its norms overflow, its norms underflow to 0
         ("bona-smith", "s = -400"), ("bona-smith", "amplitude = 1e300"), ("bona-smith", "amplitude = 1e-320"),
@@ -426,6 +423,10 @@ EXP_REFUSALS = [
         ("bona-smith", "n = 4294967296"), ("scaling", "lam = 1000"),
         ("energy-drift", "contrast_k0 = 8, 1000000000000"), ("energy-drift", "contrast_k0 = 8, 100000"),
     ]),
+    # the zero state's contrast ratios are 0/0: contrast_growth would be a NaN,
+    # which is no measurement and not JSON, so nothing is written
+    ("test_exp_refuses_a_non_finite_metric_before_writing", (), ("energy-drift", "amplitude = 0"),
+     r"error: energy-drift: metric contrast_growth must be finite, got nan"),
     ("test_exp_mu_cauchy_refuses_a_step_count_above_the_bound", ("experiments.solve_batch",),
      ("mu-cauchy", "dt = 1e-300")),
     # t_final / dt = 3.33 steps: refused before E^s is built or evaluated or a step is taken
@@ -585,7 +586,7 @@ def test_the_run_bounds_admit_every_tier1_run(monkeypatch):
     cascade, alpha, points = modenergy.MAX_CASCADE, ibpcalc.MAX_ALPHA, spectral.MAX_GRID
     assert top >= 12 and most >= 6400
     assert cascade >= 7 and alpha >= 12 and points >= 2048
-    monkeypatch.setattr(hierarchy, "_LEVELS", [])
+    hierarchy.level.cache_clear()
     monkeypatch.setattr(hierarchy, "lenard_step", _no_run)
     monkeypatch.setattr(modenergy, "_quadratic_expansion", _no_run)
     ibpcalc.alpha_coeffs.cache_clear()

@@ -17,6 +17,7 @@ from kdvlab.spectral import (
     _Monomials,
     _PolyPlan,
     _Stepper,
+    _fast_size,
     _product_grid,
     BlowUp,
     Diagnostics,
@@ -925,18 +926,14 @@ def test_functional_eval_matches_per_monomial_quadrature(n, kind):
         assert abs(functional_eval(h, f) - ref) <= 1e-12 * scale, l
 
 
-def _five_smooth(m):
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
 def test_functional_eval_is_exact_on_rounded_grids(transforms):
     # at K = 85, _product_grid gives 172, 258, 342, 428 for d = 2..5, none
-    # 5-smooth; the quadrature rounds them up and its means stay exact
+    # 5-smooth; the quadrature rounds them up and its means stay exact.  An
+    # even m is 5-smooth exactly when _fast_size(m) == m, which
+    # tests/test_properties.py checks against its own _five_smooth
     big_k, n = 85, 256
-    assert not any(_five_smooth(_product_grid(d, big_k)) for d in (2, 3, 4, 5))
+    grids = [_product_grid(d, big_k) for d in (2, 3, 4, 5)]
+    assert all(_fast_size(m) > m for m in grids)
     constant = np.zeros(n // 2 + 1, dtype=np.complex128)
     constant[0] = 0.7
     fields = [
@@ -956,7 +953,7 @@ def test_functional_eval_is_exact_on_rounded_grids(transforms):
             assert abs(got - ref) <= 1e-13 * scale, (l, got, ref)
             degree = max(len(monomial.factors) for monomial in h.integrand.monomials)
             [m] = [size for name, size in transforms if name == "irfft"]
-            assert _five_smooth(m) and m > degree * f.band_limit(), (l, m)
+            assert _fast_size(m) == m > degree * f.band_limit(), (l, m)
     # the zero field gives exactly zero, the constant its closed form
     assert functional_eval(level(0).hamiltonian, fields[0]) == 0.0
     assert abs(functional_eval(level(0).hamiltonian, fields[1]) - math.pi * 0.49) <= 1e-15
