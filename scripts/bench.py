@@ -16,8 +16,11 @@ git revision and source digest as perfbench/run.py records them, and the
 checkout directory, as its name and a digest of its absolute path (identical
 code set up in two directories can differ by several percent in
 ``setup_s``).  A run that exits non-zero stops the script with its exit code
-and writes nothing.  A speed-up is claimed with a pair of these files from
-the same machine, the parent's and the change's.
+and writes nothing.  A file is one sequential run per workload, so a pair of
+them, the parent's and the change's, carries the order of the runs (the side
+that runs first reads about 2% better) and the directories' ``setup_s``
+offset: it does not carry a speed-up claim.  A claim rests on alternating
+30-s pairs on one machine, each side first in half of them (ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -162,7 +162,10 @@ def _cmd_hierarchy_gen(args, argv) -> int:
 
 
 def _finite(name: str, value) -> float:
-    v = float(value)
+    try:
+        v = float(value)
+    except ValueError:
+        raise ValueError(f"{name} takes a float, got {value!r}") from None
     if not math.isfinite(v):
         raise ValueError(f"{name} must be finite, got {value}")
     return v

@@ -76,14 +76,15 @@ def _resolve(defaults: dict, config: dict | None) -> dict:
         if key not in defaults:
             raise KeyError(f"unknown config key {key!r}; known: {sorted(defaults)}")
         ref = defaults[key]
-        if isinstance(ref, tuple):
-            vals = val if isinstance(val, (tuple, list)) else [val]
-            cfg[key] = tuple(type(ref[0])(v) for v in vals)
-        elif isinstance(val, (tuple, list)):
+        several = isinstance(val, (tuple, list))
+        if several and not isinstance(ref, tuple):
             raise ValueError(f"config key {key!r} takes one value, got {len(val)}")
-        else:
-            cfg[key] = type(ref)(val)
-        vals = cfg[key] if isinstance(cfg[key], tuple) else (cfg[key],)
+        kind = type(ref[0] if isinstance(ref, tuple) else ref)
+        try:
+            vals = tuple(map(kind, val if several else [val]))
+        except ValueError:
+            raise ValueError(f"config key {key!r} takes {kind.__name__} values, got {val!r}") from None
+        cfg[key] = vals if isinstance(ref, tuple) else vals[0]
         if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
             raise ValueError(f"config key {key!r} must be finite, got {cfg[key]}")
     return cfg

@@ -1,4 +1,7 @@
-"""scripts/bench.py: the schema of a BENCH_<TAG>.json file, and what the benchmark's metrics assume of src/."""
+"""scripts/bench.py: the schema of a BENCH_<TAG>.json file, and what the benchmark's metrics assume of src/.
+
+The unused-name guard also reads the tests: each helper there has a test or fixture that uses it.
+"""
 
 import ast
 import importlib.util
@@ -118,6 +121,10 @@ def _unreferenced(modules: list[str], callers: list[str]) -> list[str]:
     return sorted(defs[d][0] for d in dead)
 
 
+def _sources(folder: str, pattern: str = "*.py") -> list[str]:
+    return [path.read_text() for path in sorted((ROOT / folder).glob(pattern))]
+
+
 def test_every_top_level_name_in_src_is_used_outside_the_tests():
     # src/ holds what a run, a command, the benchmark or a script calls: a
     # function, class, method or property that only tests call is deleted,
@@ -129,8 +136,27 @@ def test_every_top_level_name_in_src_is_used_outside_the_tests():
         "    def unused(self):\n        return self.unused()\n\n    def __len__(self):\n        return 0\n"
     )
     assert _unreferenced([toy], ["C().used()  # unused\n"]) == ["C.unused"]
+    assert _unreferenced(_sources("src/kdvlab"), _sources("perfbench") + _sources("scripts")) == []
 
-    def sources(folder: str) -> list[str]:
-        return [path.read_text() for path in sorted((ROOT / folder).glob("*.py"))]
 
-    assert _unreferenced(sources("src/kdvlab"), sources("perfbench") + sources("scripts")) == []
+def _helpers_and_callers(source: str) -> tuple[str, str]:
+    """A test module as two sources: its private top-level functions and classes, fixtures aside, and the rest."""
+    body = ast.parse(source).body
+    helper = [
+        isinstance(node, (*_FUNCTIONS, ast.ClassDef)) and node.name.startswith("_")
+        and not any("fixture" in ast.unparse(d) for d in node.decorator_list)
+        for node in body
+    ]
+    return tuple(ast.unparse(ast.Module([n for n, h in zip(body, helper) if h == side], [])) for side in (True, False))
+
+
+def test_every_helper_of_the_tests_is_used_by_a_test():
+    # tests/exact.py, tests/cnoidal.py and each private helper of a test module
+    # serve a test or a fixture: deleting a test deletes the helpers only it used
+    toy = "def _h():\n    pass\n\n\ndef _g():\n    pass\n\n\n@pytest.fixture\ndef _f():\n    return _g()\n"
+    helpers, callers = _helpers_and_callers(toy)
+    assert _unreferenced([helpers], [callers]) == ["_h"]
+    modules = _sources("tests", "test_*.py") + _sources("tests", "conftest.py")
+    helpers, callers = zip(*map(_helpers_and_callers, modules))
+    oracles = _sources("tests", "exact.py") + _sources("tests", "cnoidal.py")
+    assert _unreferenced(oracles + list(helpers), list(callers)) == []

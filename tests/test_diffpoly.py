@@ -13,6 +13,7 @@ from kdvlab.diffpoly import (
     DiffMonomial,
     DiffPoly,
     GradientMismatch,
+    IntegralExpr,
     NotExact,
     euler_operator,
     homotopy_hamiltonian,
@@ -102,6 +103,9 @@ def test_normal_form_mod_exact_is_canonical():
     assert ibp_normal_form(p + total_derivative(u * u * u1)) == nf
     # idempotent
     assert ibp_normal_form(nf) == nf
+    # as integrals, p and p plus an exact derivative are one key, shown by their normal form
+    assert {IntegralExpr(p), IntegralExpr(p + total_derivative(u * u * u1))} == {IntegralExpr(nf)}
+    assert repr(IntegralExpr(p)) == "Int[(-1/2)*u_1*u_1]"
 
 
 def test_normal_form_multisymbol_terminates_and_is_stable():
@@ -133,6 +137,7 @@ def test_latex_rendering_mentions_derivative_orders():
 
 def test_zero_and_constant_rendering():
     assert repr(DiffPoly()) == "DiffPoly(0)"
+    assert repr(mono(-3) + u) == "(-3) + (1)*u"
     assert latex_poly(DiffPoly()) == "0"
     assert latex_poly(mono(-3) + u) == "-3 +u"
 

@@ -382,6 +382,9 @@ SOLVE_REFUSALS = [
     # (1 + k^2)^400 overflows on the grid: refused before the energy is built or a step is taken
     ("test_solve_refuses_an_overflowing_s_before_any_step", ("cli.build_energy", "cli.solve"),
      ["diagnostics.s = 400", "energy.s = 400"]),
+    ("test_solve_refuses_a_value_that_does_not_parse_naming_its_key", ("cli.solve",),
+     ["grid.N = 256.0", "diagnostics.s = abc"],
+     r"error: (config key 'grid\.N' takes int values, got '256\.0'|diagnostics\.s takes a float, got 'abc')"),
 ]
 
 # (experiment, config lines)
@@ -444,6 +447,9 @@ EXP_REFUSALS = [
     ("test_exp_overflowing_symbol_exits_2_without_a_warning", (),
      {name: (name, "l = 300") for name in ["mu-cauchy", "scaling"]}),
     ("test_exp_list_for_scalar_key_exits_2", (), ("scaling", "n = 64, 128")),
+    ("test_exp_refuses_a_value_that_does_not_parse_naming_its_key", ("experiments.solve", "experiments.solve_batch"),
+     [("scaling", "lam = 2.5"), ("mu-cauchy", "mus = 0.01, abc")],
+     r"error: config key ('lam' takes int values, got '2\.5'|'mus' takes float values, got \['0\.01', 'abc'\])"),
 ]
 
 

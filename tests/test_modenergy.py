@@ -35,11 +35,12 @@ from exact import (
 )
 from kdvlab import modenergy
 from kdvlab.diffpoly import DiffPoly, sym, total_derivative
+from kdvlab.ibpcalc import AlphaTable, alpha_coeffs
 from kdvlab.modenergy import (
-    CommutatorTail,
     NormGapTerm,
     OddOffset,
     PTerm,
+    SingularSystem,
     ThresholdViolation,
     _correction_shape,
     _expand_linear,
@@ -113,29 +114,14 @@ def test_reduce_triple_zero_coeff_short_circuits():
 
 
 def test_reduce_triple_numeric_identity():
-    # lhs integral equals the sum of its reductions on a concrete field;
-    # quadrature is exact for band-limited data
-    n = 128
-    u = SpectralField(
-        n,
-        (0.8 * cosine_field(n, 1) + 0.5 * cosine_field(n, 2) + 0.2 * cosine_field(n, 3)).modes,
-    )
-    s = 4.0
-    tau = 2.0 * np.pi
-
-    def dval(order, sigma):
-        k = np.arange(u.modes.size, dtype=float)
-        w = np.zeros_like(k)
-        w[1:] = k[1:] ** sigma
-        if sigma == 0:
-            w[0] = 1.0
-        m = u.modes * w * (1j * k) ** order
-        return np.fft.irfft(m * n, n=n)
-
-    for a, b, c in [(0, 0, 3), (1, 0, 2), (2, 0, 1)]:
-        lhs = tau * float(np.mean(dval(a, 0) * dval(b, s) * dval(c, s)))
-        rhs = sum(_evaluate(t, u, s) for t in _reduce_triple(pterm(ONE, a, (0,), 0, b, c)))
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
+    # the integral equals the sum of its reductions on data, as rationals; on
+    # these fields no case's integral is zero, so dropping a term shows
+    for seed in EXACT_SEEDS:
+        field = ExactField.random(3, seed)
+        for a, b, c in [(0, 0, 3), (1, 0, 2), (2, 0, 1), (0, 1, 4), (1, 2, 5)]:
+            t = pterm(ONE, a, (0,), 0, b, c)
+            lhs = _exact_item(t, field, 4)
+            assert lhs != 0 and lhs == sum(_exact_item(r, field, 4) for r in _reduce_triple(t)), (seed, a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +187,29 @@ def test_cancellation_l2_closed_form():
     assert (beta + gamma * SPoly.const(5)).is_zero()
 
 
-def test_cascade_empty_residue_and_diagonals(blueprints):
-    for l in (2, 3, 4, 5):
-        bp = blueprints[l]
-        assert bp.resonant_residue == []
-        assert bp.pending == []
-        expected = Fraction((-1) ** (l + 1) * (2 * l + 1))
-        assert all(sr.diagonal == expected for sr in bp.stages)
-        assert all(sr.diagonal != 0 for sr in bp.stages)
+class _OffDiagonal(AlphaTable):
+    """An alpha table whose diagonal is twice its last row."""
+
+    diagonal = property(lambda self: 2 * self.alphas[-1])
+
+
+@pytest.mark.parametrize(
+    "name, stub, message",
+    [
+        # gamma divides by a diagonal that the correction's own hit does not produce
+        ("alpha_coeffs", lambda l: _OffDiagonal(l, alpha_coeffs(l).alphas),
+         "stage 3: bucket (1, (0,), 1) not cancelled"),
+        # a correction one m too high hits a bucket above its own
+        ("_correction_shape", lambda bucket, l: _correction_shape((*bucket[:2], bucket[2] + 1), l),
+         "stage 3: pollution into bucket (1, (0,), 2) from (1, (0,), 1)"),
+    ],
+    ids=["not-cancelled", "pollution"],
+)
+def test_the_cascade_refuses_a_bucket_it_does_not_cancel(monkeypatch, name, stub, message):
+    monkeypatch.setattr(modenergy, name, stub)
+    with pytest.raises(SingularSystem) as info:
+        build_energy(2)
+    assert str(info.value) == message
 
 
 def test_cascade_census_change_detector(blueprints):
@@ -367,6 +368,8 @@ def test_pterm_factory_normalization():
     [
         (lambda: build_energy(1), "model flow requires l >= 2"),
         (lambda: build_energy(2, max_stage=4), "stage must be in 3..3"),
+        (lambda: modenergy._normalize_square(pterm(ONE, 0, (0,), 0, 0, 1)), "normalize_square requires b == c"),
+        (lambda: _correction_shape((0, (0,), 1), 2), "correction requires an outer derivative to remove"),
     ],
 )
 def test_bad_levels_and_stages_are_refused_with_their_message(call, message):
@@ -636,14 +639,6 @@ def test_the_energy_identity_holds_exactly_on_data(blueprints, l):
     for seed in EXACT_SEEDS:
         _, _, terms, total = _exact_energy_terms(blueprints, l, seed)
         assert sum(terms) == total, seed
-
-
-def test_markers_evaluate_finite():
-    bp = build_energy(2)
-    u = random_decay_field(64, decay=5.0, seed=3, amplitude=0.2, kmax=16)
-    for mk in bp.markers:
-        assert math.isfinite(_evaluate(mk, u, 4.0))
-    assert isinstance(bp.markers[0], (NormGapTerm, CommutatorTail))
 
 
 # ---------------------------------------------------------------------------

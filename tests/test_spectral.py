@@ -20,7 +20,6 @@ from kdvlab.spectral import (
     _fast_size,
     _product_grid,
     BlowUp,
-    Diagnostics,
     SolverConfig,
     SpectralField,
     cosine_field,
@@ -90,12 +89,6 @@ def test_sobolev_norm_refuses_an_overflowing_table():
     assert not caught
 
 
-def test_parseval():
-    f = random_decay_field(128, decay=2.0, seed=5)
-    phys = TAU * float(np.mean(f.values() ** 2))
-    assert abs(phys - sobolev_norm(f, 0.0) ** 2) < 1e-12
-
-
 def test_derivative_exact_on_modes():
     f = cosine_field(64, 3)
     g = f.with_modes(f.modes * spectral._d_rows((1,), 33)[0])  # -3 sin 3x
@@ -108,13 +101,6 @@ def test_fractional_multiplier_values():
     f = cosine_field(64, 2)
     assert abs(f.modes[2] * spectral._d_weights(64, 0.5)[2] - f.modes[2] * math.sqrt(2.0)) < 1e-15
     assert abs(f.modes[2] * spectral._sobolev_weights(64, 1.0)[2] - f.modes[2] * 5.0) < 1e-15
-
-
-def test_l2_inner_orthogonality():
-    # the L^2 inner product by polarization: <f, g> = (|f + g|^2 - |f - g|^2) / 4
-    f, g = cosine_field(64, 1), cosine_field(64, 2)
-    assert abs(sobolev_norm(f + g) ** 2 - sobolev_norm(f - g) ** 2) / 4 < 1e-15
-    assert abs(sobolev_norm(f) ** 2 - math.pi) < 1e-14
 
 
 def test_scale_field_doubles_frequency_and_amplitude():
@@ -507,22 +493,6 @@ def test_bad_arguments_are_refused_with_their_message(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
-
-
-def test_integrator_refinement_order():
-    # order-4 stepping on the KdV flow: halving dt shrinks the error ~16x
-    f = 0.1 * cosine_field(64, 1)
-    flow = hierarchy_flow(1)
-
-    def final(dt):
-        cfg = SolverConfig(n=64, dt=dt, t_final=0.2, hamiltonians=(), order=4)
-        out, _ = solve(f, flow, cfg)
-        return out
-
-    ref = final(0.2 / 2048).modes
-    errs = [np.max(np.abs(final(dt).modes - ref)) for dt in (0.2 / 64, 0.2 / 128)]
-    ratio = errs[0] / errs[1]
-    assert 10.0 < ratio < 24.0, ratio
 
 
 # ---------------------------------------------------------------------------
